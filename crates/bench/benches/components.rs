@@ -1,7 +1,7 @@
-//! Benches of the substrate components: DES engine throughput, event-queue
-//! structures, DRAM controller service rate, and buffer flow-control
-//! operations. Hand-rolled timing (median of repeated runs) so the bench
-//! builds without external crates; run with `cargo bench --bench components`.
+//! Benches of the substrate components: DES engine throughput, DRAM
+//! controller service rate, and buffer flow-control operations.
+//! Hand-rolled timing (median of repeated runs) so the bench builds
+//! without external crates; run with `cargo bench --bench components`.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -49,40 +49,6 @@ fn bench_engine() {
     });
 }
 
-fn bench_calendar_vs_heap() {
-    use desim::CalendarQueue;
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-
-    let times: Vec<u64> = {
-        let mut rng = desim::SplitMix64::new(5);
-        (0..50_000).map(|_| rng.below(1_000_000)).collect()
-    };
-
-    bench("queue-50k/binary-heap", 20, || {
-        let mut h: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
-        for (i, &t) in times.iter().enumerate() {
-            h.push(Reverse((t, i as u64)));
-        }
-        let mut n = 0u64;
-        while h.pop().is_some() {
-            n += 1;
-        }
-        black_box(n);
-    });
-    bench("queue-50k/calendar-queue", 20, || {
-        let mut q = CalendarQueue::with_geometry(1024, 1024);
-        for (i, &t) in times.iter().enumerate() {
-            q.push(SimTime::from_ns(t), i as u64);
-        }
-        let mut n = 0u64;
-        while q.pop().is_some() {
-            n += 1;
-        }
-        black_box(n);
-    });
-}
-
 fn bench_dram() {
     bench("dram-4k-requests", 20, || {
         let mut mem = MemorySystem::new(DramConfig::lpddr3_table3());
@@ -114,7 +80,6 @@ fn bench_buffer() {
 
 fn main() {
     bench_engine();
-    bench_calendar_vs_heap();
     bench_dram();
     bench_buffer();
 }

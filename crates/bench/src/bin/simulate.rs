@@ -91,6 +91,13 @@ fn main() {
         );
         std::process::exit(2);
     };
+    // A numeric flag: absent gives the default, unparsable text exits 2.
+    let num = |flag: &str, default: usize| -> usize {
+        get(flag).map_or(default, |v| {
+            v.parse()
+                .unwrap_or_else(|_| bail(&format!("{flag} needs a whole number, got '{v}'")))
+        })
+    };
 
     if argv.iter().any(|a| a == "--serve") {
         if argv.iter().any(|a| a == "--smoke") {
@@ -98,15 +105,9 @@ fn main() {
         }
         let defaults = vip_bench::ServeOptions::default();
         let opts = vip_bench::ServeOptions {
-            workers: get("--workers")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(defaults.workers),
-            cache: get("--cache")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(defaults.cache),
-            queue: get("--queue")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(defaults.queue),
+            workers: num("--workers", defaults.workers),
+            cache: num("--cache", defaults.cache),
+            queue: num("--queue", defaults.queue),
         };
         let stdin = std::io::stdin();
         let mut stdout = std::io::stdout();
@@ -147,10 +148,17 @@ fn main() {
         Some(d) => device_by_name(&d).unwrap_or_else(|| bail(&format!("unknown device '{d}'"))),
         None => Device::Table3,
     };
-    let ms: u64 = get("--ms").and_then(|v| v.parse().ok()).unwrap_or(500);
+    let ms = num("--ms", 500) as u64;
 
     let mut cfg = device.config(scheme);
-    cfg.duration = desim::SimDelta::from_ms(ms);
+    cfg.duration = desim::SimDelta::checked_from_ms(ms)
+        .filter(|d| *d > desim::SimDelta::ZERO)
+        .unwrap_or_else(|| {
+            bail(&format!(
+                "--ms {ms} is outside 1..={}",
+                u64::MAX / 1_000_000
+            ))
+        });
 
     let trace_out = get("--trace");
     #[cfg(not(feature = "trace"))]
@@ -175,9 +183,7 @@ fn main() {
 
     #[cfg(feature = "trace")]
     let (report, traces) = if let Some(path) = &trace_out {
-        let capacity: usize = get("--trace-capacity")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(1 << 20);
+        let capacity = num("--trace-capacity", 1 << 20);
         let mut cell = vip_core::SimCell::new(cfg, flows);
         let out = cell.runner().traced(capacity).run();
         let (report, session) = (out.report, out.trace.expect("traced run"));

@@ -66,7 +66,7 @@ impl CampaignSpec {
     /// Expands the seeded grid into concrete cells.
     ///
     /// Each cell draws its unit, scheme and device knobs from its own
-    /// [`cell_seed`]-keyed generator, so expansion is deterministic,
+    /// `cell_seed`-keyed generator, so expansion is deterministic,
     /// order-free, and identical however the work is later sharded. Every
     /// generated config passes [`SystemConfig::validate`] (asserted —
     /// the knob ranges are chosen inside the validity envelope).

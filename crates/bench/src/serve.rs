@@ -157,10 +157,12 @@ pub struct Resolved {
 /// # Errors
 ///
 /// Returns a human-readable message for malformed JSON, unknown units or
-/// schemes, or a delta'd config that fails validation.
+/// schemes, a numeric field that is not a whole number in `0..=2^53`, a
+/// horizon beyond the simulated clock's range, or a delta'd config that
+/// fails validation.
 pub fn resolve(line: &str) -> Result<Resolved, (u64, String)> {
     let doc = json::parse(line).map_err(|e| (0, format!("bad request JSON: {e}")))?;
-    let id = doc.get("id").and_then(Json::as_f64).unwrap_or(0.0) as u64;
+    let id = whole(&doc, "id").map_err(|e| (0, e))?.unwrap_or(0);
     let fail = |msg: String| (id, msg);
 
     let unit_label = doc
@@ -180,31 +182,29 @@ pub fn resolve(line: &str) -> Result<Resolved, (u64, String)> {
             .ok_or_else(|| fail(format!("unknown scheme '{s}'")))?,
     };
 
-    let ms = doc.get("ms").and_then(Json::as_f64).unwrap_or(50.0) as u64;
+    let ms = whole(&doc, "ms").map_err(fail)?.unwrap_or(50);
     if ms == 0 {
         return Err(fail("ms must be positive".into()));
     }
-    let warmup_ms = doc
-        .get("warmup_ms")
-        .and_then(Json::as_f64)
-        .unwrap_or(ms as f64 / 2.0) as u64;
+    let duration = SimDelta::checked_from_ms(ms)
+        .ok_or_else(|| fail(format!("ms {ms} exceeds the simulated clock's range")))?;
+    let warmup_ms = whole(&doc, "warmup_ms").map_err(fail)?.unwrap_or(ms / 2);
     if warmup_ms >= ms {
         return Err(fail(format!("warmup_ms {warmup_ms} must be < ms {ms}")));
     }
     let settings = RunSettings {
-        duration: SimDelta::from_ms(ms),
-        seed: doc
-            .get("seed")
-            .and_then(Json::as_f64)
-            .map_or(RunSettings::default().seed, |s| s as u64),
+        duration,
+        seed: whole(&doc, "seed")
+            .map_err(fail)?
+            .unwrap_or(RunSettings::default().seed),
     };
 
     let mut cfg = settings.config(scheme);
     let mut flows = unit.flows(settings);
 
     if let Some(whatif) = doc.get("whatif") {
-        let knob = |k: &str| whatif.get(k).and_then(Json::as_f64);
-        if let Some(n) = knob("extra_flows") {
+        let knob = |k: &str| whole(whatif, k).map_err(fail);
+        if let Some(n) = knob("extra_flows")? {
             // "Same workload, plus load": duplicate the unit's own flows
             // cyclically under fresh names — deterministic, and shaped
             // like the traffic already present.
@@ -214,14 +214,15 @@ pub fn resolve(line: &str) -> Result<Resolved, (u64, String)> {
                 flows.push(extra);
             }
         }
-        if let Some(ch) = knob("dram_channels") {
+        if let Some(ch) = knob("dram_channels")? {
             cfg.dram.channels = ch as usize;
         }
-        if let Some(n) = knob("num_cpus") {
+        if let Some(n) = knob("num_cpus")? {
             cfg.num_cpus = n as usize;
         }
-        if let Some(b) = knob("burst_frames") {
-            cfg.burst_frames = b as u32;
+        if let Some(b) = knob("burst_frames")? {
+            cfg.burst_frames = u32::try_from(b)
+                .map_err(|_| fail(format!("burst_frames {b} exceeds {}", u32::MAX)))?;
         }
         cfg.validate()
             .map_err(|e| fail(format!("what-if config invalid: {e}")))?;
@@ -236,6 +237,24 @@ pub fn resolve(line: &str) -> Result<Resolved, (u64, String)> {
         warmup,
         key,
     })
+}
+
+/// Reads the optional numeric field `key` of a request object. JSON
+/// numbers arrive as `f64`, so only finite, non-negative whole numbers up
+/// to 2^53 (the largest range `f64` holds exactly) are accepted; a
+/// fraction, a negative, an out-of-range or a non-numeric value is an
+/// error naming the field, never a silent `as` cast.
+fn whole(obj: &Json, key: &str) -> Result<Option<u64>, String> {
+    const MAX: f64 = (1u64 << 53) as f64;
+    let Some(v) = obj.get(key) else {
+        return Ok(None);
+    };
+    match v.as_f64() {
+        Some(x) if x.is_finite() && (0.0..=MAX).contains(&x) && x.fract() == 0.0 => {
+            Ok(Some(x as u64))
+        }
+        _ => Err(format!("{key} must be a whole number in 0..=2^53")),
+    }
 }
 
 /// Digest of the effective triple. `SystemConfig` and `FlowSpec` are
@@ -602,6 +621,29 @@ mod tests {
             resolve(r#"{"id": 1, "unit": "A1", "ms": 10, "warmup_ms": 10}"#).is_err(),
             "warmup must precede the horizon"
         );
+        // A power of two, but past the 64 channels DRAM can track: it must
+        // fail here rather than panic in a worker.
+        assert!(resolve(r#"{"id":1,"unit":"A1","ms":20,"whatif":{"dram_channels":128}}"#).is_err());
+        // Numbers outside their field's range: a horizon that overflows
+        // u64 nanoseconds, a negative warmup, a fractional channel count.
+        for (line, field) in [
+            (
+                r#"{"id":1,"unit":"A1","ms":18446744073710,"warmup_ms":0}"#,
+                "ms",
+            ),
+            (
+                r#"{"id":1,"unit":"A1","ms":20,"warmup_ms":-1}"#,
+                "warmup_ms",
+            ),
+            (
+                r#"{"id":1,"unit":"A1","ms":20,"whatif":{"dram_channels":2.5}}"#,
+                "dram_channels",
+            ),
+        ] {
+            let (id, msg) = resolve(line).unwrap_err();
+            assert_eq!(id, 1);
+            assert!(msg.starts_with(field), "{line}: {msg}");
+        }
         // The error carries the request id for correlation.
         assert_eq!(resolve(r#"{"id": 9}"#).unwrap_err().0, 9);
     }

@@ -29,6 +29,22 @@ fn run_simulate(args: &[&str]) -> std::process::Output {
     child.wait_with_output().expect("simulate exits")
 }
 
+/// Hash of the `--metrics` file that `simulate --scheme vip --ms 200`
+/// writes for [`SPEC`] (see [`bytes_digest`]). Pins the snapshot byte for
+/// byte: names, order, number formatting and every value. Regenerate it
+/// only when a change is *supposed* to alter the metrics output, and say
+/// so in the commit.
+const METRICS_DIGEST: u64 = 0x51535e9150e0e41d;
+
+/// Length-prefixed FxHash of a byte string, like the golden digest table.
+fn bytes_digest(bytes: &[u8]) -> u64 {
+    use std::hash::Hasher as _;
+    let mut h = desim::hash::FxHasher::default();
+    h.write_u64(bytes.len() as u64);
+    h.write(bytes);
+    h.finish()
+}
+
 #[test]
 fn metrics_flag_writes_a_parseable_snapshot() {
     let dir = std::env::temp_dir();
@@ -44,6 +60,12 @@ fn metrics_flag_writes_a_parseable_snapshot() {
 
     let text = std::fs::read_to_string(&path).expect("metrics file written");
     std::fs::remove_file(&path).ok();
+    assert_eq!(
+        bytes_digest(text.as_bytes()),
+        METRICS_DIGEST,
+        "--metrics bytes changed (got {:#018x}):\n{text}",
+        bytes_digest(text.as_bytes())
+    );
     let doc = telemetry::json::parse(&text).expect("metrics JSON parses");
 
     let counters = doc.get("counters").expect("counters object");
@@ -62,6 +84,18 @@ fn metrics_flag_writes_a_parseable_snapshot() {
     let p95 = hist.get("p95").and_then(|v| v.as_f64()).expect("p95");
     let p99 = hist.get("p99").and_then(|v| v.as_f64()).expect("p99");
     assert!(p50 > 0.0 && p50 <= p95 && p95 <= p99, "{text}");
+}
+
+/// Unparsable, zero or overflowing horizons exit 2 with a usage error
+/// instead of silently running some other horizon.
+#[test]
+fn bad_ms_flag_is_a_usage_error() {
+    for ms in ["abc", "0", "18446744073710"] {
+        let out = run_simulate(&["--scheme", "vip", "--ms", ms]);
+        assert_eq!(out.status.code(), Some(2), "--ms {ms} was accepted");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("--ms"), "unhelpful error for --ms {ms}: {err}");
+    }
 }
 
 #[cfg(feature = "trace")]

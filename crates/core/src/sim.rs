@@ -583,10 +583,10 @@ pub struct SystemSim {
     bg_instructions: u64,
     end: SimTime,
     /// Telemetry facade: a zero-sized no-op unless the `trace` feature is
-    /// on *and* the run was started via `run_traced`.
+    /// on *and* the run was started via `runner().traced(cap)`.
     tracer: Tracer,
     /// Sanitizer facade: a zero-sized no-op unless the `audit` feature is
-    /// on *and* the run was started via `run_audited`.
+    /// on *and* the run was started via `runner().audited()`.
     audit: Auditor,
 }
 
@@ -1008,51 +1008,6 @@ impl SystemSim {
     pub fn run(cfg: SystemConfig, flows: Vec<FlowSpec>) -> SystemReport {
         SimCell::new(cfg, flows).runner().run().report
     }
-
-    /// Runs `flows` under `cfg` counting dispatches per event kind via the
-    /// engine's trace-only dispatch hook. The schedule is identical to
-    /// [`SystemSim::run`]'s (the hook only observes), so the report digest
-    /// matches an uncounted run bit-for-bit.
-    #[cfg(feature = "trace")]
-    #[deprecated(note = "use `SimCell::runner().counted().run()`")]
-    pub fn run_with_event_counts(
-        cfg: SystemConfig,
-        flows: Vec<FlowSpec>,
-    ) -> (SystemReport, EventCounts) {
-        let mut cell = SimCell::new(cfg, flows);
-        let out = cell.runner().counted().run();
-        (out.report, out.counts.expect("counted run"))
-    }
-
-    /// Runs `flows` under `cfg` with stale (superseded) MemTicks re-polling
-    /// the memory system — the per-event schedule that coalescing
-    /// optimizes away. The event calendar is identical to [`SystemSim::run`],
-    /// so the reports must match bit-for-bit; tests use this to prove the
-    /// skip is behavior-preserving.
-    #[doc(hidden)]
-    #[deprecated(note = "use `SimCell::runner().eager_mem_poll().run()`")]
-    pub fn run_eager_mem_poll(cfg: SystemConfig, flows: Vec<FlowSpec>) -> SystemReport {
-        SimCell::new(cfg, flows)
-            .runner()
-            .eager_mem_poll()
-            .run()
-            .report
-    }
-
-    /// Like [`SystemSim::run`] but dispatching one event at a time via
-    /// [`Engine::run_until`] instead of the coincident-batch path — the
-    /// reference schedule the batched dispatcher must reproduce. Exists so
-    /// the property suite can prove by-kind batch grouping is
-    /// behavior-preserving; everything else should use [`SystemSim::run`].
-    #[doc(hidden)]
-    #[deprecated(note = "use `SimCell::runner().per_event_dispatch().run()`")]
-    pub fn run_per_event_dispatch(cfg: SystemConfig, flows: Vec<FlowSpec>) -> SystemReport {
-        SimCell::new(cfg, flows)
-            .runner()
-            .per_event_dispatch()
-            .run()
-            .report
-    }
 }
 
 /// A reusable simulation cell: one engine plus one [`SystemSim`] whose
@@ -1124,7 +1079,7 @@ impl std::error::Error for RunIncomplete {}
 
 /// A cheap, self-contained capture of a [`SimCell`] mid-run: the
 /// scheduler calendar (heap, cancellations, sequence counter) plus the
-/// full model state (lane SoA state, dispatch slots, [`FetchSlab`] tags,
+/// full model state (lane SoA state, dispatch slots, `FetchSlab` tags,
 /// frame ledgers, DRAM channel state, CPU cores, fabric, counters).
 ///
 /// Snapshots are plain owned data — `Clone` + `Send` — so they can sit in
@@ -1565,42 +1520,6 @@ fn install_trace_probes(cell: &mut SimCell, rec: &Arc<std::sync::Mutex<telemetry
 }
 
 impl SystemSim {
-    /// Runs `flows` under `cfg` with the runtime sanitizer armed,
-    /// returning the report and the audit summary.
-    ///
-    /// The auditor only observes — it never schedules events or mutates
-    /// sim state — so the report digest matches an unaudited run
-    /// bit-for-bit. A violated invariant panics with the failing values.
-    #[cfg(feature = "audit")]
-    #[deprecated(note = "use `SimCell::runner().audited().run()`")]
-    pub fn run_audited(
-        cfg: SystemConfig,
-        flows: Vec<FlowSpec>,
-    ) -> (SystemReport, crate::audit::AuditSummary) {
-        let mut cell = SimCell::new(cfg, flows);
-        let out = cell.runner().audited().run();
-        (out.report, out.audit.expect("audited run"))
-    }
-
-    /// Runs `flows` under `cfg` while recording a structured trace into a
-    /// ring of `capacity` events, returning the report and the finished
-    /// [`TraceSession`](crate::TraceSession) for export.
-    ///
-    /// The recorded schedule is identical to [`SystemSim::run`]'s: the
-    /// tracer only observes, it never perturbs event ordering, so the
-    /// report digest matches an untraced run bit-for-bit.
-    #[cfg(feature = "trace")]
-    #[deprecated(note = "use `SimCell::runner().traced(capacity).run()`")]
-    pub fn run_traced(
-        cfg: SystemConfig,
-        flows: Vec<FlowSpec>,
-        capacity: usize,
-    ) -> (SystemReport, crate::TraceSession) {
-        let mut cell = SimCell::new(cfg, flows);
-        let out = cell.runner().traced(capacity).run();
-        (out.report, out.trace.expect("traced run"))
-    }
-
     // ------------------------------------------------------------------
     // Helpers
     // ------------------------------------------------------------------
@@ -3141,46 +3060,6 @@ mod tests {
         assert_eq!(hist.count(), report.frames_completed);
     }
 
-    /// The deprecated entry-point shims stay behavior-identical to the
-    /// builder surface they forward to.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_run_shims_match_builder() {
-        let cfg = quick_cfg(Scheme::IpToIpBurst);
-        let flows = vec![small_video("a"), small_video("b")];
-        let plain = SystemSim::run(cfg.clone(), flows.clone());
-        assert_eq!(
-            SystemSim::run_eager_mem_poll(cfg.clone(), flows.clone()).digest(),
-            plain.digest()
-        );
-        assert_eq!(
-            SystemSim::run_per_event_dispatch(cfg.clone(), flows.clone()).digest(),
-            plain.digest()
-        );
-        #[cfg(feature = "audit")]
-        assert_eq!(
-            SystemSim::run_audited(cfg.clone(), flows.clone())
-                .0
-                .digest(),
-            plain.digest()
-        );
-        #[cfg(feature = "trace")]
-        {
-            assert_eq!(
-                SystemSim::run_traced(cfg.clone(), flows.clone(), 1 << 12)
-                    .0
-                    .digest(),
-                plain.digest()
-            );
-            assert_eq!(
-                SystemSim::run_with_event_counts(cfg.clone(), flows.clone())
-                    .0
-                    .digest(),
-                plain.digest()
-            );
-        }
-    }
-
     /// The harvest hook observes; it must never perturb the simulation,
     /// and its sample count must agree with the report it rides along.
     #[test]
@@ -3268,6 +3147,19 @@ mod tests {
         assert!(summary.spans > 0, "no compute/transfer spans");
         assert!(summary.counters > 0, "no counter samples");
         assert!(summary.instants > 0, "no instants (irq/frame marks)");
+
+        // The counting hook observes too, and sees every dispatch.
+        let out = SimCell::new(quick_cfg(Scheme::Vip), flows())
+            .runner()
+            .counted()
+            .run();
+        let counts = out.counts.expect("counted run");
+        assert_eq!(
+            plain.digest(),
+            out.report.digest(),
+            "counting perturbed the run"
+        );
+        assert_eq!(counts.total(), out.report.events);
     }
 
     /// The auditor observes; it must never perturb the simulation.

@@ -267,7 +267,7 @@ impl<E> Scheduler<E> {
     /// `batch`, preserving `(time, insertion sequence)` order, and returns
     /// how many were drained (0 iff the calendar is empty). The clock
     /// advances to that instant and each drained event counts as
-    /// dispatched, exactly as under per-event [`pop`](Self::pop)s.
+    /// dispatched, exactly as under per-event `pop`s.
     ///
     /// `batch` must arrive empty; the caller owns it and reuses it across
     /// drains so the steady state allocates nothing.

@@ -7,8 +7,8 @@
 //! * [`Engine`] / [`Scheduler`] / [`Model`] — an event-calendar simulation loop
 //!   with FIFO tie-breaking and event cancellation,
 //! * [`rng`] — a small, seedable, reproducible random-number generator,
-//! * [`stats`] — counters, histograms, time-weighted averages and windowed
-//!   rate trackers used for all measurements in the VIP reproduction.
+//! * [`stats`] — counters, fixed-width histograms and windowed rate
+//!   trackers used for the measurements in the VIP reproduction.
 //!
 //! The kernel is deliberately minimal: models own all of their state and
 //! receive a mutable [`Scheduler`] while handling each event, so there is no
@@ -46,7 +46,6 @@
 
 #![deny(unsafe_code)]
 
-pub mod calendar;
 pub mod check;
 pub mod engine;
 pub mod hash;
@@ -54,7 +53,6 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use calendar::CalendarQueue;
 pub use engine::{Engine, EventToken, Model, RunOutcome, Scheduler, SchedulerSnapshot};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use rng::SplitMix64;

@@ -66,20 +66,9 @@ impl SplitMix64 {
         lo + self.below(hi - lo)
     }
 
-    /// Uniform draw in `[lo, hi)` over the reals.
-    pub fn uniform(&mut self, lo: f64, hi: f64) -> f64 {
-        lo + (hi - lo) * self.next_f64()
-    }
-
     /// Bernoulli draw with probability `p` of `true`.
     pub fn chance(&mut self, p: f64) -> bool {
         self.next_f64() < p
-    }
-
-    /// Exponentially distributed draw with the given mean.
-    pub fn exponential(&mut self, mean: f64) -> f64 {
-        let u = 1.0 - self.next_f64(); // (0, 1]
-        -mean * u.ln()
     }
 
     /// Normally distributed draw (Box–Muller).
@@ -94,33 +83,6 @@ impl SplitMix64 {
     /// underlying normal (`mu`, `sigma`).
     pub fn log_normal(&mut self, mu: f64, sigma: f64) -> f64 {
         self.normal(mu, sigma).exp()
-    }
-
-    /// Picks an index with probability proportional to `weights[i]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `weights` is empty or sums to a non-positive value.
-    pub fn weighted_index(&mut self, weights: &[f64]) -> usize {
-        let total: f64 = weights.iter().sum();
-        assert!(
-            !weights.is_empty() && total > 0.0,
-            "weighted_index needs positive total weight"
-        );
-        let mut x = self.next_f64() * total;
-        for (i, &w) in weights.iter().enumerate() {
-            if x < w {
-                return i;
-            }
-            x -= w;
-        }
-        weights.len() - 1
-    }
-
-    /// Derives an independent child generator; useful for giving each flow
-    /// or component its own stream.
-    pub fn fork(&mut self) -> SplitMix64 {
-        SplitMix64::new(self.next_u64())
     }
 }
 
@@ -166,15 +128,6 @@ mod tests {
     }
 
     #[test]
-    fn exponential_mean_converges() {
-        let mut r = SplitMix64::new(5);
-        let n = 200_000;
-        let sum: f64 = (0..n).map(|_| r.exponential(3.0)).sum();
-        let mean = sum / n as f64;
-        assert!((mean - 3.0).abs() < 0.05, "mean {mean}");
-    }
-
-    #[test]
     fn normal_moments_converge() {
         let mut r = SplitMix64::new(6);
         let n = 200_000;
@@ -186,29 +139,10 @@ mod tests {
     }
 
     #[test]
-    fn weighted_index_respects_weights() {
-        let mut r = SplitMix64::new(8);
-        let mut counts = [0u32; 3];
-        for _ in 0..90_000 {
-            counts[r.weighted_index(&[1.0, 2.0, 6.0])] += 1;
-        }
-        assert!(counts[0] < counts[1] && counts[1] < counts[2]);
-        assert!((counts[2] as f64 / 90_000.0 - 6.0 / 9.0).abs() < 0.02);
-    }
-
-    #[test]
     fn chance_extremes() {
         let mut r = SplitMix64::new(9);
         assert!(!r.chance(0.0));
         assert!(r.chance(1.0));
-    }
-
-    #[test]
-    fn forked_streams_are_independent() {
-        let mut parent = SplitMix64::new(10);
-        let mut c1 = parent.fork();
-        let mut c2 = parent.fork();
-        assert_ne!(c1.next_u64(), c2.next_u64());
     }
 
     #[test]

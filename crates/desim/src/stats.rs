@@ -4,11 +4,8 @@
 //! collectors:
 //!
 //! * [`Counter`] — monotone event counts (interrupts, frames, instructions),
-//! * [`OnlineStats`] — streaming mean/variance/min/max (Welford),
 //! * [`Histogram`] — fixed-width binning (tap-interval and burst-length
 //!   distributions of Figs 5 and 6),
-//! * [`TimeWeighted`] — integrals of a piecewise-constant signal over
-//!   simulated time (utilization, occupancy, power states),
 //! * [`RateTracker`] — per-window accumulation (the memory-bandwidth
 //!   time-distribution of Fig 3d).
 
@@ -52,95 +49,6 @@ impl Counter {
 impl fmt::Display for Counter {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.0)
-    }
-}
-
-/// Streaming mean / variance / extrema over `f64` samples (Welford's
-/// algorithm; numerically stable, O(1) per sample).
-///
-/// # Example
-///
-/// ```
-/// use desim::stats::OnlineStats;
-/// let mut s = OnlineStats::new();
-/// for x in [1.0, 2.0, 3.0] { s.push(x); }
-/// assert_eq!(s.mean(), 2.0);
-/// assert_eq!(s.max(), 3.0);
-/// ```
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct OnlineStats {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl OnlineStats {
-    /// Creates an empty collector.
-    pub fn new() -> Self {
-        OnlineStats {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Adds a sample.
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        let d = x - self.mean;
-        self.mean += d / self.n as f64;
-        self.m2 += d * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-    /// Sample mean (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-    /// Population variance (0 when fewer than 2 samples).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-    /// Smallest sample (0 when empty).
-    pub fn min(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.min
-        }
-    }
-    /// Largest sample (0 when empty).
-    pub fn max(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.max
-        }
-    }
-    /// Sum of all samples.
-    pub fn sum(&self) -> f64 {
-        self.mean() * self.n as f64
     }
 }
 
@@ -238,129 +146,6 @@ impl Histogram {
     pub fn iter(&self) -> impl Iterator<Item = (f64, f64, u64)> + '_ {
         (0..self.bins.len()).map(move |i| (self.bin_lo(i), self.bin_hi(i), self.bins[i]))
     }
-
-    /// Estimates quantile `q` in `[0, 1]` by linear interpolation inside
-    /// the bin containing the `q`-th sample (samples are assumed uniform
-    /// within a bin). Overflow samples pin the estimate to the top edge.
-    /// Returns 0 when the histogram is empty.
-    ///
-    /// The error is bounded by one bin width, so with bins sized for the
-    /// measurement (e.g. 1 ms frame-latency bins) this yields useful
-    /// p50/p95/p99 without retaining samples.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is not in `[0, 1]`.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use desim::stats::Histogram;
-    /// let mut h = Histogram::new(0.0, 100.0, 100);
-    /// for i in 0..100 {
-    ///     h.push(i as f64 + 0.5);
-    /// }
-    /// assert!((h.quantile(0.5) - 50.0).abs() <= 1.0);
-    /// assert!((h.quantile(0.95) - 95.0).abs() <= 1.0);
-    /// ```
-    pub fn quantile(&self, q: f64) -> f64 {
-        assert!((0.0..=1.0).contains(&q), "quantile must be in [0,1]");
-        if self.total == 0 {
-            return 0.0;
-        }
-        // Rank of the q-th sample, 1-based nearest-rank, clamped into range.
-        let rank = ((q * self.total as f64).ceil() as u64).clamp(1, self.total);
-        let mut seen = 0u64;
-        for (i, &c) in self.bins.iter().enumerate() {
-            if seen + c >= rank {
-                // Interpolate within bin i: the (rank - seen)-th of its c
-                // samples, assumed evenly spread across the bin.
-                let frac = if c == 0 {
-                    0.0
-                } else {
-                    (rank - seen) as f64 / c as f64
-                };
-                return self.bin_lo(i) + self.width * frac;
-            }
-            seen += c;
-        }
-        // Rank falls in the overflow bin: all we know is "at or above hi".
-        self.bin_hi(self.bins.len() - 1)
-    }
-}
-
-/// Integral of a piecewise-constant signal over simulated time.
-///
-/// Used for utilizations and occupancies: set the level whenever it changes,
-/// then read the time-weighted mean over any prefix of the run.
-///
-/// # Example
-///
-/// ```
-/// use desim::stats::TimeWeighted;
-/// use desim::SimTime;
-/// let mut u = TimeWeighted::new(SimTime::ZERO, 0.0);
-/// u.set(SimTime::from_ns(10), 1.0); // signal 0 for 10ns
-/// u.set(SimTime::from_ns(30), 0.0); // signal 1 for 20ns
-/// assert!((u.mean(SimTime::from_ns(40)) - 0.5).abs() < 1e-12);
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct TimeWeighted {
-    last_t: SimTime,
-    level: f64,
-    integral: f64, // level × ns
-    start: SimTime,
-}
-
-impl TimeWeighted {
-    /// Creates the signal with an initial level at `start`.
-    pub fn new(start: SimTime, level: f64) -> Self {
-        TimeWeighted {
-            last_t: start,
-            level,
-            integral: 0.0,
-            start,
-        }
-    }
-
-    /// Changes the level at instant `t`.
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if `t` precedes the previous update.
-    pub fn set(&mut self, t: SimTime, level: f64) {
-        debug_assert!(t >= self.last_t, "TimeWeighted updated backwards");
-        self.integral += self.level * t.saturating_since(self.last_t).as_ns() as f64;
-        self.last_t = t;
-        self.level = level;
-    }
-
-    /// Adds `delta` to the current level at instant `t`.
-    pub fn add(&mut self, t: SimTime, delta: f64) {
-        let lv = self.level;
-        self.set(t, lv + delta);
-    }
-
-    /// Current level.
-    pub fn level(&self) -> f64 {
-        self.level
-    }
-
-    /// Integral of the signal (level × seconds) from start through `t`.
-    pub fn integral(&self, t: SimTime) -> f64 {
-        let tail = self.level * t.saturating_since(self.last_t).as_ns() as f64;
-        (self.integral + tail) / 1e9
-    }
-
-    /// Time-weighted mean level from start through `t` (0 over an empty
-    /// interval).
-    pub fn mean(&self, t: SimTime) -> f64 {
-        let span = t.saturating_since(self.start).as_ns();
-        if span == 0 {
-            return 0.0;
-        }
-        self.integral(t) * 1e9 / span as f64
-    }
 }
 
 /// Accumulates a quantity into fixed windows of simulated time, yielding a
@@ -437,139 +222,6 @@ impl RateTracker {
     }
 }
 
-/// Streaming quantile estimation with the P² algorithm (Jain & Chlamtac,
-/// 1985): tracks one quantile in O(1) memory without storing samples.
-/// Used for tail latencies (e.g. p95 DRAM request latency) where exact
-/// percentiles would require unbounded buffers.
-///
-/// # Example
-///
-/// ```
-/// use desim::stats::Quantile;
-/// let mut q = Quantile::new(0.5);
-/// for x in 1..=1001 {
-///     q.push(x as f64);
-/// }
-/// assert!((q.estimate() - 501.0).abs() < 20.0);
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct Quantile {
-    q: f64,
-    /// Marker heights.
-    heights: [f64; 5],
-    /// Marker positions (1-based).
-    positions: [f64; 5],
-    /// Desired marker positions.
-    desired: [f64; 5],
-    /// Desired position increments.
-    increments: [f64; 5],
-    count: usize,
-}
-
-impl Quantile {
-    /// Creates an estimator for quantile `q` in `(0, 1)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is not strictly between 0 and 1.
-    pub fn new(q: f64) -> Self {
-        assert!(q > 0.0 && q < 1.0, "quantile must be in (0,1)");
-        Quantile {
-            q,
-            heights: [0.0; 5],
-            positions: [1.0, 2.0, 3.0, 4.0, 5.0],
-            desired: [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0],
-            increments: [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0],
-            count: 0,
-        }
-    }
-
-    /// Number of samples observed.
-    pub fn count(&self) -> usize {
-        self.count
-    }
-
-    /// Adds a sample.
-    pub fn push(&mut self, x: f64) {
-        if self.count < 5 {
-            self.heights[self.count] = x;
-            self.count += 1;
-            if self.count == 5 {
-                self.heights.sort_by(f64::total_cmp);
-            }
-            return;
-        }
-        self.count += 1;
-
-        // Find the cell and clamp the extremes.
-        let k = if x < self.heights[0] {
-            self.heights[0] = x;
-            0
-        } else if x >= self.heights[4] {
-            self.heights[4] = x;
-            3
-        } else {
-            (0..4)
-                .find(|&i| x < self.heights[i + 1])
-                .expect("x within extremes")
-        };
-
-        for p in &mut self.positions[k + 1..] {
-            *p += 1.0;
-        }
-        for (d, inc) in self.desired.iter_mut().zip(self.increments) {
-            *d += inc;
-        }
-
-        // Adjust the three interior markers.
-        for i in 1..4 {
-            let d = self.desired[i] - self.positions[i];
-            let below = self.positions[i] - self.positions[i - 1];
-            let above = self.positions[i + 1] - self.positions[i];
-            if (d >= 1.0 && above > 1.0) || (d <= -1.0 && below > 1.0) {
-                let sign = d.signum();
-                let parabolic = self.parabolic(i, sign);
-                let new_h = if self.heights[i - 1] < parabolic && parabolic < self.heights[i + 1] {
-                    parabolic
-                } else {
-                    self.linear(i, sign)
-                };
-                self.heights[i] = new_h;
-                self.positions[i] += sign;
-            }
-        }
-    }
-
-    fn parabolic(&self, i: usize, sign: f64) -> f64 {
-        let n = &self.positions;
-        let h = &self.heights;
-        h[i] + sign / (n[i + 1] - n[i - 1])
-            * ((n[i] - n[i - 1] + sign) * (h[i + 1] - h[i]) / (n[i + 1] - n[i])
-                + (n[i + 1] - n[i] - sign) * (h[i] - h[i - 1]) / (n[i] - n[i - 1]))
-    }
-
-    fn linear(&self, i: usize, sign: f64) -> f64 {
-        let j = (i as f64 + sign) as usize;
-        self.heights[i]
-            + sign * (self.heights[j] - self.heights[i]) / (self.positions[j] - self.positions[i])
-    }
-
-    /// The current quantile estimate (exact for fewer than 5 samples; 0
-    /// when empty).
-    pub fn estimate(&self) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        if self.count < 5 {
-            let mut v = self.heights[..self.count].to_vec();
-            v.sort_by(f64::total_cmp);
-            let idx = ((self.count as f64 - 1.0) * self.q).round() as usize;
-            return v[idx.min(self.count - 1)];
-        }
-        self.heights[2]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -581,30 +233,6 @@ mod tests {
         c.add(9);
         assert_eq!(c.get(), 10);
         assert_eq!(c.to_string(), "10");
-    }
-
-    #[test]
-    fn online_stats_welford_matches_direct() {
-        let xs = [4.0, 7.0, 13.0, 16.0];
-        let mut s = OnlineStats::new();
-        for &x in &xs {
-            s.push(x);
-        }
-        assert_eq!(s.count(), 4);
-        assert!((s.mean() - 10.0).abs() < 1e-12);
-        assert!((s.variance() - 22.5).abs() < 1e-9);
-        assert_eq!(s.min(), 4.0);
-        assert_eq!(s.max(), 16.0);
-        assert!((s.sum() - 40.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn online_stats_empty_is_zeroed() {
-        let s = OnlineStats::new();
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.variance(), 0.0);
-        assert_eq!(s.min(), 0.0);
-        assert_eq!(s.max(), 0.0);
     }
 
     #[test]
@@ -624,81 +252,12 @@ mod tests {
     }
 
     #[test]
-    fn histogram_quantiles_interpolate() {
-        let mut h = Histogram::new(0.0, 100.0, 100);
-        for i in 0..1000 {
-            h.push((i % 100) as f64 + 0.5); // uniform over [0, 100)
-        }
-        assert!((h.quantile(0.5) - 50.0).abs() <= 1.0, "{}", h.quantile(0.5));
-        assert!(
-            (h.quantile(0.95) - 95.0).abs() <= 1.0,
-            "{}",
-            h.quantile(0.95)
-        );
-        assert!(
-            (h.quantile(0.99) - 99.0).abs() <= 1.0,
-            "{}",
-            h.quantile(0.99)
-        );
-        assert!(h.quantile(0.0) <= h.quantile(0.5));
-        assert!(h.quantile(0.5) <= h.quantile(1.0));
-    }
-
-    #[test]
-    fn histogram_quantile_empty_and_overflow() {
-        let empty = Histogram::new(0.0, 10.0, 10);
-        assert_eq!(empty.quantile(0.5), 0.0);
-
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        h.push(1.0);
-        h.push(50.0); // overflow
-        h.push(60.0); // overflow
-                      // p99 lands among the overflow samples: pinned to the top edge.
-        assert_eq!(h.quantile(0.99), 10.0);
-        // A low quantile still resolves inside the binned range.
-        assert!(h.quantile(0.3) < 10.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "quantile must be in [0,1]")]
-    fn histogram_quantile_rejects_bad_q() {
-        let _ = Histogram::new(0.0, 1.0, 1).quantile(1.5);
-    }
-
-    #[test]
     fn histogram_iter_covers_all_bins() {
         let mut h = Histogram::new(0.0, 4.0, 4);
         h.push(1.5);
         let v: Vec<_> = h.iter().collect();
         assert_eq!(v.len(), 4);
         assert_eq!(v[1], (1.0, 2.0, 1));
-    }
-
-    #[test]
-    fn time_weighted_integral_and_mean() {
-        let mut u = TimeWeighted::new(SimTime::ZERO, 2.0);
-        u.set(SimTime::from_secs(1), 4.0);
-        // 2.0 for 1s, then 4.0 for 1s.
-        assert!((u.integral(SimTime::from_secs(2)) - 6.0).abs() < 1e-9);
-        assert!((u.mean(SimTime::from_secs(2)) - 3.0).abs() < 1e-9);
-        assert_eq!(u.level(), 4.0);
-    }
-
-    #[test]
-    fn time_weighted_add() {
-        let mut occ = TimeWeighted::new(SimTime::ZERO, 0.0);
-        occ.add(SimTime::from_ns(10), 1.0);
-        occ.add(SimTime::from_ns(20), 1.0);
-        occ.add(SimTime::from_ns(30), -2.0);
-        assert_eq!(occ.level(), 0.0);
-        // 0 for 10ns + 1 for 10ns + 2 for 10ns = 30 level-ns
-        assert!((occ.integral(SimTime::from_ns(30)) - 30e-9).abs() < 1e-15);
-    }
-
-    #[test]
-    fn time_weighted_mean_of_empty_interval_is_zero() {
-        let u = TimeWeighted::new(SimTime::from_ns(5), 7.0);
-        assert_eq!(u.mean(SimTime::from_ns(5)), 0.0);
     }
 
     #[test]
@@ -718,44 +277,5 @@ mod tests {
         let r = RateTracker::new(SimDelta::from_ms(1));
         assert_eq!(r.fraction_at_least(SimTime::ZERO, 1.0), 0.0);
         assert!(r.windows(SimTime::ZERO).is_empty());
-    }
-
-    #[test]
-    fn quantile_median_of_uniform() {
-        let mut rng = crate::SplitMix64::new(42);
-        let mut q = Quantile::new(0.5);
-        for _ in 0..50_000 {
-            q.push(rng.uniform(0.0, 100.0));
-        }
-        assert!((q.estimate() - 50.0).abs() < 2.0, "{}", q.estimate());
-    }
-
-    #[test]
-    fn quantile_p95_of_exponential() {
-        let mut rng = crate::SplitMix64::new(7);
-        let mut q = Quantile::new(0.95);
-        for _ in 0..100_000 {
-            q.push(rng.exponential(10.0));
-        }
-        // True p95 of Exp(10) is 10·ln(20) ≈ 29.96.
-        assert!((q.estimate() - 29.96).abs() < 2.0, "{}", q.estimate());
-    }
-
-    #[test]
-    fn quantile_small_counts_are_exact() {
-        let mut q = Quantile::new(0.5);
-        assert_eq!(q.estimate(), 0.0);
-        q.push(5.0);
-        assert_eq!(q.estimate(), 5.0);
-        q.push(1.0);
-        q.push(9.0);
-        assert_eq!(q.estimate(), 5.0);
-        assert_eq!(q.count(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "quantile must be in (0,1)")]
-    fn quantile_rejects_bad_q() {
-        let _ = Quantile::new(1.0);
     }
 }

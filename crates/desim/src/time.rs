@@ -123,6 +123,21 @@ impl SimDelta {
     pub const fn from_ms(ms: u64) -> Self {
         SimDelta(ms * 1_000_000)
     }
+    /// Creates a span of `ms` milliseconds, or `None` if it does not fit
+    /// in `u64` nanoseconds (about 584 years). Use it for spans read from
+    /// input, where [`SimDelta::from_ms`] would overflow.
+    ///
+    /// ```
+    /// use desim::SimDelta;
+    /// assert_eq!(SimDelta::checked_from_ms(20), Some(SimDelta::from_ms(20)));
+    /// assert_eq!(SimDelta::checked_from_ms(18_446_744_073_710), None);
+    /// ```
+    pub const fn checked_from_ms(ms: u64) -> Option<Self> {
+        match ms.checked_mul(1_000_000) {
+            Some(ns) => Some(SimDelta(ns)),
+            None => None,
+        }
+    }
     /// Creates a span of `s` seconds.
     pub const fn from_secs(s: u64) -> Self {
         SimDelta(s * 1_000_000_000)

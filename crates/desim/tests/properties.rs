@@ -3,7 +3,7 @@
 //! Uses the in-repo [`desim::check`] harness (seeded random cases).
 
 use desim::check::{forall, vec_of};
-use desim::{CalendarQueue, Engine, EventToken, Model, Scheduler, SimDelta, SimTime};
+use desim::{Engine, EventToken, Model, Scheduler, SimDelta, SimTime};
 
 #[derive(Default)]
 struct Recorder {
@@ -81,9 +81,9 @@ fn cancellation_is_exact() {
 }
 
 /// The reworked scheduler dispatches an arbitrary interleaving of
-/// `at` / `after` / `cancel` in exactly `(time, insertion-seq)` order —
-/// the mirror of the CalendarQueue equivalence test below, driven through
-/// the engine itself so lazy tombstone collection is exercised.
+/// `at` / `after` / `cancel` in exactly `(time, insertion-seq)` order,
+/// driven through the engine itself so lazy tombstone collection is
+/// exercised.
 #[test]
 fn scheduler_orders_arbitrary_at_after_cancel_interleavings() {
     forall("at/after/cancel interleaving", 256, |rng| {
@@ -138,42 +138,6 @@ fn scheduler_orders_arbitrary_at_after_cancel_interleavings() {
         expected.sort_by_key(|&(t, _)| t); // stable: preserves seq order within a time
         eng.run();
         assert_eq!(eng.model().seen, expected);
-    });
-}
-
-/// The calendar queue dequeues in exactly the engine's order:
-/// nondecreasing time with FIFO tie-breaks — on any schedule, including
-/// interleaved push/pop.
-#[test]
-fn calendar_queue_matches_heap_order() {
-    forall("calendar equivalence", 128, |rng| {
-        let times = vec_of(rng, 1, 300, |r| r.below(100_000));
-        let pop_every = rng.range(1, 8) as usize;
-        let mut cal = CalendarQueue::with_geometry(4, 64);
-        let mut popped: Vec<(u64, u32)> = Vec::new();
-        let mut inserted: Vec<(u64, u32)> = Vec::new();
-        let mut floor = 0u64;
-        for (i, &t) in times.iter().enumerate() {
-            // Calendars (like the engine) never schedule into the past.
-            let t = t.max(floor);
-            cal.push(SimTime::from_ns(t), i as u32);
-            inserted.push((t, i as u32));
-            if i % pop_every == 0 {
-                if let Some((at, ev)) = cal.pop() {
-                    floor = at.as_ns();
-                    popped.push((at.as_ns(), ev));
-                }
-            }
-        }
-        while let Some((at, ev)) = cal.pop() {
-            popped.push((at.as_ns(), ev));
-        }
-        assert_eq!(popped.len(), times.len());
-        // Global multiset equality with the inserted schedule.
-        let mut a = popped.clone();
-        a.sort_unstable();
-        inserted.sort_unstable();
-        assert_eq!(a, inserted);
     });
 }
 

@@ -144,6 +144,13 @@ impl DramConfig {
         if !self.channels.is_power_of_two() || !self.banks.is_power_of_two() {
             return Err("channel and bank counts must be powers of two".into());
         }
+        if self.channels > 64 {
+            // `MemorySystem` tracks a request's channel touch-set in a u64.
+            return Err(format!(
+                "{} channels exceeds the maximum of 64",
+                self.channels
+            ));
+        }
         if self.t_line == SimDelta::ZERO && !self.ideal {
             return Err("t_line must be nonzero for a non-ideal memory".into());
         }
@@ -183,6 +190,12 @@ mod tests {
         let mut cfg = DramConfig::lpddr3_table3();
         cfg.channels = 3;
         assert!(cfg.validate().is_err());
+
+        let mut cfg = DramConfig::lpddr3_table3();
+        cfg.channels = 64;
+        cfg.validate().unwrap();
+        cfg.channels = 128;
+        assert!(cfg.validate().is_err(), "a power of two above 64 channels");
 
         let mut cfg = DramConfig::lpddr3_table3();
         cfg.row_bytes = 100;

@@ -11,8 +11,8 @@
 //! * cache-line (64 B) interleaving across channels, row-granular banks with
 //!   an open-page policy,
 //! * a per-channel **FR-FCFS** controller (row hits first, then oldest),
-//! * accounting: bandwidth timelines, row-buffer hit rates, access latency,
-//!   busy time, and energy (activate + per-byte dynamic + background),
+//! * accounting: bandwidth timelines, row-buffer hit rates, busy time, and
+//!   energy (activate + per-byte dynamic + background),
 //! * an **ideal memory** mode (zero service time) used for the "Ideal" bars
 //!   of the paper's Fig 3.
 //!

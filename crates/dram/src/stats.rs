@@ -1,8 +1,8 @@
-//! Memory-system measurements: bandwidth, latency, row-buffer behaviour,
-//! and energy. These feed Figs 3(c), 3(d) and the energy breakdowns of
+//! Memory-system measurements: bandwidth, row-buffer behaviour and
+//! energy. These feed Figs 3(c), 3(d) and the energy breakdowns of
 //! Figs 15–16 in the reproduction.
 
-use desim::stats::{Counter, OnlineStats, Quantile, RateTracker};
+use desim::stats::{Counter, RateTracker};
 use desim::{SimDelta, SimTime};
 
 use crate::config::DramConfig;
@@ -32,10 +32,6 @@ pub struct MemStats {
     pub row_conflicts: Counter,
     /// Requests completed.
     pub requests: Counter,
-    /// End-to-end request latency (ns).
-    pub latency_ns: OnlineStats,
-    /// Streaming p95 of request latency (ns).
-    pub latency_p95_ns: Quantile,
     /// Bytes per 1 ms window, for the bandwidth timeline (paper Fig 3d).
     pub traffic: RateTracker,
     /// Nanoseconds any channel bus spent transferring data (sum across
@@ -58,8 +54,6 @@ impl MemStats {
             row_empties: Counter::new(),
             row_conflicts: Counter::new(),
             requests: Counter::new(),
-            latency_ns: OnlineStats::new(),
-            latency_p95_ns: Quantile::new(0.95),
             traffic: RateTracker::new(SimDelta::from_ms(1)),
             busy_ns: 0,
         }

@@ -1,10 +1,9 @@
 //! A log-bucketed histogram with an *exact* merge.
 //!
-//! The reservoir behind [`crate::registry::MetricsRegistry`] histograms is
-//! the right tool for one process observing one stream: bounded memory,
-//! deterministic for a fixed stream. It is the wrong tool for a campaign,
-//! because two reservoirs cannot be merged without re-sampling — merging
-//! per-cell or per-shard reservoirs is lossy and depends on merge order.
+//! Exact percentiles over one run need every sample; a campaign cannot
+//! keep every sample of every cell, and sampled summaries (reservoirs,
+//! streaming estimators) cannot be merged across cells or shards without
+//! losing accuracy and depending on merge order.
 //!
 //! [`LogHistogram`] trades a small, *bounded* relative error on the value
 //! axis for exactness on the count axis: values land in a fixed,

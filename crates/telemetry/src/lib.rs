@@ -16,19 +16,20 @@
 //!    [`validate_chrome_trace`] checks the format (used by tests and by
 //!    anything that wants to sanity-check a file before shipping it).
 //! 3. **Metrics** ([`registry`]): a [`MetricsRegistry`] of named
-//!    counters, histograms (deterministic reservoir quantiles:
-//!    p50/p95/p99), and time-weighted gauges, frozen into an ordered
-//!    [`MetricsSnapshot`] that renders as text or JSON. This is the one
-//!    funnel through which per-crate stats reach reports and files.
+//!    counters, plain values, histogram summaries (p50/p95/p99 computed
+//!    by their producer), and time-weighted gauges, frozen into an
+//!    ordered [`MetricsSnapshot`] that renders as text or JSON. This is
+//!    the one funnel through which per-crate stats reach reports and
+//!    files.
 //! 4. **Campaign observability** ([`hist`], [`campaign`]): a
 //!    [`LogHistogram`] with a fixed log-bucket layout and an *exact*
-//!    merge (the reservoir cannot be merged across shards), the
+//!    merge across shards, the
 //!    [`CellResult`] NDJSON record one campaign cell emits, and the
 //!    [`CampaignAggregator`] that folds any sharding of a cell
 //!    population into byte-identical percentile JSON.
 //!
 //! There is deliberately no dependency on the simulator crates (only on
-//! `desim` for time and the seeded RNG), so any layer — DRAM model, SoC
+//! `desim` for time and hashing), so any layer — DRAM model, SoC
 //! blocks, benches — can produce events without cycles. JSON support
 //! ([`json`]) is hand-rolled because the build environment is offline.
 

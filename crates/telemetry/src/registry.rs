@@ -1,99 +1,24 @@
-//! A unified metrics registry: named counters, value histograms with
-//! deterministic quantiles, and time-weighted gauges, behind one
-//! snapshot/report/JSON API.
+//! A unified metrics registry: named counters, plain values, histogram
+//! summaries and time-weighted gauges, behind one snapshot/report/JSON
+//! API.
 //!
 //! Everything is keyed by `&'static`-free `String` names and stored in
 //! `BTreeMap`s so snapshots iterate in a stable, deterministic order —
 //! snapshot output feeds golden comparisons and must never depend on hash
-//! order. Histogram quantiles come from a bounded reservoir (Vitter's
-//! Algorithm R) driven by a fixed-seed [`SplitMix64`], so the same sample
-//! stream always yields the same percentile estimates.
+//! order. Histogram summaries are computed by their producer (exact
+//! percentiles over the run) and injected with
+//! [`MetricsRegistry::summary_set`]; the registry reports them as given.
 
 use std::collections::BTreeMap;
 
-use desim::{SimTime, SplitMix64};
+use desim::SimTime;
 
 use crate::json::{escape, fmt_f64};
-
-/// Reservoir capacity for histogram quantiles. 4096 samples bounds the
-/// p99 estimation error to well under 1% for the distributions we track.
-const RESERVOIR_CAP: usize = 4096;
-
-/// A value distribution: streaming moments plus a bounded reservoir for
-/// quantiles.
-#[derive(Debug, Clone)]
-pub struct ValueHist {
-    count: u64,
-    sum: f64,
-    min: f64,
-    max: f64,
-    reservoir: Vec<f64>,
-    rng: SplitMix64,
-}
-
-impl ValueHist {
-    fn new(name: &str) -> Self {
-        // Seed from the metric name so parallel registries stay
-        // deterministic regardless of registration order.
-        let mut seed = 0xcbf2_9ce4_8422_2325u64;
-        for b in name.bytes() {
-            seed = (seed ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        ValueHist {
-            count: 0,
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-            reservoir: Vec::new(),
-            rng: SplitMix64::new(seed),
-        }
-    }
-
-    fn observe(&mut self, x: f64) {
-        self.count += 1;
-        self.sum += x;
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-        if self.reservoir.len() < RESERVOIR_CAP {
-            self.reservoir.push(x);
-        } else {
-            // Algorithm R: keep each of the n samples seen so far with
-            // probability cap/n.
-            let j = self.rng.below(self.count);
-            if (j as usize) < RESERVOIR_CAP {
-                self.reservoir[j as usize] = x;
-            }
-        }
-    }
-
-    fn summary(&self) -> HistSummary {
-        if self.count == 0 {
-            return HistSummary::default();
-        }
-        let mut sorted = self.reservoir.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        let q = |p: f64| -> f64 {
-            // Nearest-rank on the sorted reservoir.
-            let n = sorted.len();
-            let rank = ((p * n as f64).ceil() as usize).clamp(1, n);
-            sorted[rank - 1]
-        };
-        HistSummary {
-            count: self.count,
-            mean: self.sum / self.count as f64,
-            min: self.min,
-            max: self.max,
-            p50: q(0.50),
-            p95: q(0.95),
-            p99: q(0.99),
-        }
-    }
-}
 
 /// The distilled view of one histogram.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct HistSummary {
-    /// Samples observed (all of them, not just the reservoir).
+    /// Samples the summary covers.
     pub count: u64,
     /// Arithmetic mean over all samples.
     pub mean: f64,
@@ -164,7 +89,6 @@ impl Gauge {
 pub struct MetricsRegistry {
     counters: BTreeMap<String, u64>,
     values: BTreeMap<String, f64>,
-    hists: BTreeMap<String, ValueHist>,
     summaries: BTreeMap<String, HistSummary>,
     gauges: BTreeMap<String, Gauge>,
 }
@@ -195,16 +119,7 @@ impl MetricsRegistry {
         self.values.insert(name.to_string(), v);
     }
 
-    /// Observes one sample into the named histogram.
-    pub fn observe(&mut self, name: &str, x: f64) {
-        self.hists
-            .entry(name.to_string())
-            .or_insert_with(|| ValueHist::new(name))
-            .observe(x);
-    }
-
-    /// Injects a precomputed summary (for producers that already computed
-    /// exact percentiles elsewhere and just want them reported).
+    /// Sets the named histogram summary, as computed by its producer.
     pub fn summary_set(&mut self, name: &str, s: HistSummary) {
         self.summaries.insert(name.to_string(), s);
     }
@@ -223,19 +138,14 @@ impl MetricsRegistry {
     /// Freezes the registry into an ordered snapshot, closing gauge
     /// windows at `end`.
     pub fn snapshot(&self, end: SimTime) -> MetricsSnapshot {
-        let mut hists: Vec<(String, HistSummary)> = self
-            .hists
-            .iter()
-            .map(|(k, h)| (k.clone(), h.summary()))
-            .collect();
-        for (k, s) in &self.summaries {
-            hists.push((k.clone(), *s));
-        }
-        hists.sort_by(|a, b| a.0.cmp(&b.0));
         MetricsSnapshot {
             counters: self.counters.iter().map(|(k, v)| (k.clone(), *v)).collect(),
             values: self.values.iter().map(|(k, v)| (k.clone(), *v)).collect(),
-            hists,
+            hists: self
+                .summaries
+                .iter()
+                .map(|(k, s)| (k.clone(), *s))
+                .collect(),
             gauges: self
                 .gauges
                 .iter()
@@ -388,41 +298,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_quantiles_exact_under_reservoir_cap() {
-        let mut m = MetricsRegistry::new();
-        for i in 1..=100 {
-            m.observe("lat", i as f64);
-        }
-        let snap = m.snapshot(t(0));
-        let (_, s) = &snap.hists[0];
-        assert_eq!(s.count, 100);
-        assert_eq!(s.p50, 50.0);
-        assert_eq!(s.p95, 95.0);
-        assert_eq!(s.p99, 99.0);
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.max, 100.0);
-        assert!((s.mean - 50.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn histogram_is_deterministic_beyond_reservoir_cap() {
-        let run = || {
-            let mut m = MetricsRegistry::new();
-            for i in 0..20_000u32 {
-                m.observe("lat", (i % 997) as f64);
-            }
-            m.snapshot(t(0)).hists[0].1
-        };
-        let a = run();
-        let b = run();
-        assert_eq!(a, b, "same stream must give same summary");
-        assert_eq!(a.count, 20_000);
-        // Uniform over [0, 997): p50 should be near the middle.
-        assert!((a.p50 - 498.0).abs() < 50.0, "p50 = {}", a.p50);
-        assert!(a.p99 > 950.0, "p99 = {}", a.p99);
-    }
-
-    #[test]
     fn gauges_time_weight() {
         let mut m = MetricsRegistry::new();
         m.gauge_set("q", t(0), 0.0);
@@ -503,7 +378,13 @@ mod tests {
         m.incr("z.last");
         m.incr("a.first");
         m.value_set("ratio", 0.25);
-        m.observe("h", 1.0);
+        m.summary_set(
+            "h",
+            HistSummary {
+                count: 1,
+                ..HistSummary::default()
+            },
+        );
         m.gauge_set("g", t(0), 1.0);
         let snap = m.snapshot(t(10));
         assert_eq!(snap.counters[0].0, "a.first");
