@@ -39,10 +39,13 @@
 //!
 //! `unit` is a matrix unit label (`A1`..`A7`, `W1`..`W8`); all other
 //! fields are optional (`scheme` defaults to `vip`, `ms` to 50,
-//! `warmup_ms` to `ms / 2`, `seed` to the bench default). The response
+//! `warmup_ms` to `ms / 2`, `seed` to the bench default). The fields that
+//! size allocations up front are capped: `ms` at 60,000, `extra_flows`
+//! and `num_cpus` at 64; a request past a cap is rejected. The response
 //! carries `ok`, the report `digest` (hex), `cache` (`"hit"`/`"miss"`),
 //! `branch_depth`, the serving `worker`, and headline report fields.
 
+use std::hash::BuildHasher;
 use std::io::{BufRead, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -84,12 +87,14 @@ struct CachedSnap {
 
 /// A small LRU of warmed snapshots keyed by effective-triple digest.
 /// Linear scan — the cache is a handful of entries, and the cost of a
-/// miss (a warmup simulation) dwarfs any lookup strategy.
+/// miss (a warmup simulation) dwarfs any lookup strategy. Each entry also
+/// keeps the triple's text, and a lookup must match it too, so two
+/// triples whose digests collide miss instead of sharing a snapshot.
 #[derive(Debug)]
 struct SnapCache {
     cap: usize,
     tick: u64,
-    entries: Vec<(u64, Arc<CachedSnap>, u64)>,
+    entries: Vec<(u64, String, Arc<CachedSnap>, u64)>,
 }
 
 impl SnapCache {
@@ -101,26 +106,26 @@ impl SnapCache {
         }
     }
 
-    fn get(&mut self, key: u64) -> Option<Arc<CachedSnap>> {
+    fn get(&mut self, key: u64, triple: &str) -> Option<Arc<CachedSnap>> {
         self.tick += 1;
         let tick = self.tick;
         self.entries
             .iter_mut()
-            .find(|(k, _, _)| *k == key)
-            .map(|(_, snap, last)| {
+            .find(|(k, t, _, _)| *k == key && t == triple)
+            .map(|(_, _, snap, last)| {
                 *last = tick;
                 Arc::clone(snap)
             })
     }
 
-    fn insert(&mut self, key: u64, snap: SimSnapshot) -> Arc<CachedSnap> {
+    fn insert(&mut self, key: u64, triple: String, snap: SimSnapshot) -> Arc<CachedSnap> {
         self.tick += 1;
         if self.entries.len() >= self.cap {
             let oldest = self
                 .entries
                 .iter()
                 .enumerate()
-                .min_by_key(|(_, (_, _, last))| *last)
+                .min_by_key(|(_, (_, _, _, last))| *last)
                 .map(|(i, _)| i)
                 .expect("cap >= 1 and cache full");
             self.entries.swap_remove(oldest);
@@ -129,7 +134,8 @@ impl SnapCache {
             snap,
             branches: AtomicU64::new(0),
         });
-        self.entries.push((key, Arc::clone(&cached), self.tick));
+        self.entries
+            .push((key, triple, Arc::clone(&cached), self.tick));
         cached
     }
 }
@@ -147,7 +153,19 @@ pub struct Resolved {
     pub warmup: SimDelta,
     /// Cache key: digest of the effective triple.
     pub key: u64,
+    /// The effective triple's text, which `key` digests; the cache
+    /// compares it so that a digest collision is a miss.
+    triple: String,
 }
+
+/// Caps on the request fields that size allocations up front: the frame
+/// ledgers preallocate for the whole horizon, and `extra_flows` and
+/// `num_cpus` set how many flows and cores are built. An allocation
+/// failure aborts the process, so these are checked before anything is
+/// built. The largest documented request uses `ms` 200.
+const MAX_MS: u64 = 60_000;
+const MAX_EXTRA_FLOWS: u64 = 64;
+const MAX_CPUS: u64 = 64;
 
 /// Resolves one request line to its effective `(config, flows, warmup)`
 /// triple. What-if deltas are applied *here*, before the cache key is
@@ -158,8 +176,8 @@ pub struct Resolved {
 ///
 /// Returns a human-readable message for malformed JSON, unknown units or
 /// schemes, a numeric field that is not a whole number in `0..=2^53`, a
-/// horizon beyond the simulated clock's range, or a delta'd config that
-/// fails validation.
+/// field past its cap (`ms`, `extra_flows`, `num_cpus`), or a delta'd
+/// config that fails validation.
 pub fn resolve(line: &str) -> Result<Resolved, (u64, String)> {
     let doc = json::parse(line).map_err(|e| (0, format!("bad request JSON: {e}")))?;
     let id = whole(&doc, "id").map_err(|e| (0, e))?.unwrap_or(0);
@@ -182,18 +200,16 @@ pub fn resolve(line: &str) -> Result<Resolved, (u64, String)> {
             .ok_or_else(|| fail(format!("unknown scheme '{s}'")))?,
     };
 
-    let ms = whole(&doc, "ms").map_err(fail)?.unwrap_or(50);
+    let ms = at_most(&doc, "ms", MAX_MS).map_err(fail)?.unwrap_or(50);
     if ms == 0 {
         return Err(fail("ms must be positive".into()));
     }
-    let duration = SimDelta::checked_from_ms(ms)
-        .ok_or_else(|| fail(format!("ms {ms} exceeds the simulated clock's range")))?;
     let warmup_ms = whole(&doc, "warmup_ms").map_err(fail)?.unwrap_or(ms / 2);
     if warmup_ms >= ms {
         return Err(fail(format!("warmup_ms {warmup_ms} must be < ms {ms}")));
     }
     let settings = RunSettings {
-        duration,
+        duration: SimDelta::from_ms(ms),
         seed: whole(&doc, "seed")
             .map_err(fail)?
             .unwrap_or(RunSettings::default().seed),
@@ -204,7 +220,7 @@ pub fn resolve(line: &str) -> Result<Resolved, (u64, String)> {
 
     if let Some(whatif) = doc.get("whatif") {
         let knob = |k: &str| whole(whatif, k).map_err(fail);
-        if let Some(n) = knob("extra_flows")? {
+        if let Some(n) = at_most(whatif, "extra_flows", MAX_EXTRA_FLOWS).map_err(fail)? {
             // "Same workload, plus load": duplicate the unit's own flows
             // cyclically under fresh names — deterministic, and shaped
             // like the traffic already present.
@@ -217,7 +233,7 @@ pub fn resolve(line: &str) -> Result<Resolved, (u64, String)> {
         if let Some(ch) = knob("dram_channels")? {
             cfg.dram.channels = ch as usize;
         }
-        if let Some(n) = knob("num_cpus")? {
+        if let Some(n) = at_most(whatif, "num_cpus", MAX_CPUS).map_err(fail)? {
             cfg.num_cpus = n as usize;
         }
         if let Some(b) = knob("burst_frames")? {
@@ -228,14 +244,18 @@ pub fn resolve(line: &str) -> Result<Resolved, (u64, String)> {
             .map_err(|e| fail(format!("what-if config invalid: {e}")))?;
     }
 
+    // `SystemConfig` and `FlowSpec` are plain data with exhaustive `Debug`
+    // derives, so the triple's debug rendering keys every knob without a
+    // hand-maintained field walk.
     let warmup = SimDelta::from_ms(warmup_ms);
-    let key = triple_key(&cfg, &flows, warmup);
+    let triple = format!("{cfg:?}|{flows:?}|{}", warmup.as_ns());
     Ok(Resolved {
         id,
         cfg,
         flows,
         warmup,
-        key,
+        key: desim::FxBuildHasher::default().hash_one(&triple),
+        triple,
     })
 }
 
@@ -257,12 +277,13 @@ fn whole(obj: &Json, key: &str) -> Result<Option<u64>, String> {
     }
 }
 
-/// Digest of the effective triple. `SystemConfig` and `FlowSpec` are
-/// plain data with exhaustive `Debug` derives, so hashing the debug
-/// rendering keys every knob without a hand-maintained field walk.
-fn triple_key(cfg: &SystemConfig, flows: &[vip_core::FlowSpec], warmup: SimDelta) -> u64 {
-    use std::hash::BuildHasher;
-    desim::FxBuildHasher::default().hash_one(format!("{cfg:?}|{flows:?}|{}", warmup.as_ns()))
+/// [`whole`], capped at `max`; a larger value is an error naming the
+/// field.
+fn at_most(obj: &Json, key: &str, max: u64) -> Result<Option<u64>, String> {
+    match whole(obj, key)? {
+        Some(v) if v > max => Err(format!("{key} {v} exceeds the limit {max}")),
+        v => Ok(v),
+    }
 }
 
 /// One response, ready to serialize.
@@ -440,7 +461,10 @@ impl Server {
 
 /// Answers one resolved request on this worker's warm cell.
 fn serve_one(req: &Resolved, cache: &Mutex<SnapCache>, warm: &mut Option<SimCell>) -> Ok_ {
-    let cached = cache.lock().expect("snapshot cache lock").get(req.key);
+    let cached = cache
+        .lock()
+        .expect("snapshot cache lock")
+        .get(req.key, &req.triple);
     let (hit, branch_depth, report) = match cached {
         Some(cached) => {
             // Hit: branch the warmed snapshot and simulate only the tail.
@@ -457,7 +481,7 @@ fn serve_one(req: &Resolved, cache: &Mutex<SnapCache>, warm: &mut Option<SimCell
             cache
                 .lock()
                 .expect("snapshot cache lock")
-                .insert(req.key, snap);
+                .insert(req.key, req.triple.clone(), snap);
             (false, 0, cell.finish())
         }
     };
@@ -625,11 +649,25 @@ mod tests {
         // fail here rather than panic in a worker.
         assert!(resolve(r#"{"id":1,"unit":"A1","ms":20,"whatif":{"dram_channels":128}}"#).is_err());
         // Numbers outside their field's range: a horizon that overflows
-        // u64 nanoseconds, a negative warmup, a fractional channel count.
+        // u64 nanoseconds, a negative warmup, a fractional channel count,
+        // and fields past the caps that keep a request from allocating
+        // without bound.
         for (line, field) in [
             (
                 r#"{"id":1,"unit":"A1","ms":18446744073710,"warmup_ms":0}"#,
                 "ms",
+            ),
+            (
+                r#"{"id":1,"unit":"A1","ms":18446744073709,"warmup_ms":0}"#,
+                "ms",
+            ),
+            (
+                r#"{"id":1,"unit":"A1","ms":20,"whatif":{"extra_flows":9007199254740992}}"#,
+                "extra_flows",
+            ),
+            (
+                r#"{"id":1,"unit":"A1","ms":20,"whatif":{"num_cpus":9007199254740992}}"#,
+                "num_cpus",
             ),
             (
                 r#"{"id":1,"unit":"A1","ms":20,"warmup_ms":-1}"#,
@@ -648,20 +686,32 @@ mod tests {
         assert_eq!(resolve(r#"{"id": 9}"#).unwrap_err().0, 9);
     }
 
+    fn tiny_snapshot() -> SimSnapshot {
+        let probe = resolve(r#"{"id": 0, "unit": "A1", "ms": 4, "warmup_ms": 1}"#).unwrap();
+        let mut cell = SimCell::new(probe.cfg, probe.flows);
+        cell.run_until(desim::SimTime::from_ms(1));
+        cell.snapshot()
+    }
+
     #[test]
     fn lru_evicts_the_coldest_entry() {
-        let probe = resolve(r#"{"id": 0, "unit": "A1", "ms": 4, "warmup_ms": 1}"#).unwrap();
+        let snap = tiny_snapshot();
         let mut cache = SnapCache::new(2);
-        let mut cell = SimCell::new(probe.cfg.clone(), probe.flows.clone());
-        cell.run_until(desim::SimTime::from_ms(1));
-        let snap = cell.snapshot();
-        cache.insert(1, snap.clone());
-        cache.insert(2, snap.clone());
-        assert!(cache.get(1).is_some(), "refreshes key 1");
-        cache.insert(3, snap); // evicts key 2 (coldest)
-        assert!(cache.get(2).is_none(), "LRU kept the cold entry");
-        assert!(cache.get(1).is_some());
-        assert!(cache.get(3).is_some());
+        cache.insert(1, "a".into(), snap.clone());
+        cache.insert(2, "b".into(), snap.clone());
+        assert!(cache.get(1, "a").is_some(), "refreshes key 1");
+        cache.insert(3, "c".into(), snap); // evicts key 2 (coldest)
+        assert!(cache.get(2, "b").is_none(), "LRU kept the cold entry");
+        assert!(cache.get(1, "a").is_some());
+        assert!(cache.get(3, "c").is_some());
+    }
+
+    #[test]
+    fn colliding_digests_miss_instead_of_sharing_a_snapshot() {
+        let mut cache = SnapCache::new(2);
+        cache.insert(1, "a".into(), tiny_snapshot());
+        assert!(cache.get(1, "b").is_none(), "a digest collision must miss");
+        assert!(cache.get(1, "a").is_some());
     }
 
     #[test]

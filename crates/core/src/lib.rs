@@ -59,8 +59,8 @@
 //! * **Configure a run** with [`SimCell::runner`], a builder
 //!   ([`RunOptions`]) that collapses the historical `run_*` entry-point
 //!   family: `.audited()` (audit feature), `.traced(capacity)` /
-//!   `.counted()` (trace feature), `.per_event_dispatch()` and
-//!   `.eager_mem_poll()` (reference schedules for the property suite).
+//!   `.counted()` (trace feature) and `.eager_mem_poll()` (the reference
+//!   schedule for the property suite).
 //!   [`RunOptions::run`] returns a [`RunOutput`] carrying the report plus
 //!   any requested observer artifacts.
 //! * **Step resumably** with [`SimCell::run_until`], then either keep

@@ -171,12 +171,16 @@ pub struct SystemReport {
     pub sa_bytes: u64, // digest: included
     /// Mean flow time over completed frames (all flows).
     pub avg_flow_time: SimDelta, // digest: included
+    /// Shortest flow time over completed frames (all flows).
+    pub min_flow_time: SimDelta, // digest: excluded
     /// Median flow time over completed frames (all flows).
     pub p50_flow_time: SimDelta, // digest: excluded
     /// 95th-percentile flow time over completed frames (all flows).
     pub p95_flow_time: SimDelta, // digest: included
     /// 99th-percentile flow time over completed frames (all flows).
     pub p99_flow_time: SimDelta, // digest: excluded
+    /// Longest flow time over completed frames (all flows).
+    pub max_flow_time: SimDelta, // digest: excluded
     /// Events the simulation dispatched (diagnostics).
     pub events: u64, // digest: included
 }
@@ -190,11 +194,11 @@ impl SystemReport {
     /// runs, across `Matrix::run_subset` worker counts, or across pure
     /// performance refactors of the event engine.
     ///
-    /// Fields added after the golden table was frozen (`p50_flow_time`,
-    /// `p99_flow_time`) are deliberately *not* hashed: they derive from the
-    /// same per-frame samples as `p95_flow_time`, so hashing them would
-    /// invalidate every recorded golden digest without adding any
-    /// determinism coverage.
+    /// Fields added after the golden table was frozen (`min_flow_time`,
+    /// `p50_flow_time`, `p99_flow_time`, `max_flow_time`) are deliberately
+    /// *not* hashed: they derive from the same per-frame samples as
+    /// `p95_flow_time`, so hashing them would invalidate every recorded
+    /// golden digest without adding any determinism coverage.
     pub fn digest(&self) -> u64 {
         use std::hash::Hasher;
         let mut h = desim::hash::FxHasher::default();
@@ -349,8 +353,8 @@ impl SystemReport {
             telemetry::HistSummary {
                 count: self.frames_completed,
                 mean: self.avg_flow_time.as_ns() as f64,
-                min: 0.0,
-                max: self.p99_flow_time.as_ns() as f64,
+                min: self.min_flow_time.as_ns() as f64,
+                max: self.max_flow_time.as_ns() as f64,
                 p50: self.p50_flow_time.as_ns() as f64,
                 p95: self.p95_flow_time.as_ns() as f64,
                 p99: self.p99_flow_time.as_ns() as f64,
@@ -464,9 +468,11 @@ mod tests {
             mem_bytes: 0,
             sa_bytes: 0,
             avg_flow_time: SimDelta::from_ms(10),
+            min_flow_time: SimDelta::from_ms(5),
             p50_flow_time: SimDelta::from_ms(9),
             p95_flow_time: SimDelta::from_ms(14),
             p99_flow_time: SimDelta::from_ms(15),
+            max_flow_time: SimDelta::from_ms(16),
             events: 0,
         };
         assert!((rep.energy_per_frame_mj() - 1.0).abs() < 1e-12);

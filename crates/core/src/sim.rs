@@ -1085,8 +1085,7 @@ impl std::error::Error for RunIncomplete {}
 /// Snapshots are plain owned data — `Clone` + `Send` — so they can sit in
 /// a shared cache and be restored into any warm cell on any thread.
 /// Restoring and continuing is bit-identical to running straight through
-/// (golden- and property-tested), because coincident event batches never
-/// straddle a [`SimCell::run_until`] split instant.
+/// (golden- and property-tested).
 ///
 /// Trace-feature note: the snapshot deliberately *excludes* observers
 /// (the [`Tracer`] ring and the DRAM probe closure). Observers are
@@ -1147,7 +1146,6 @@ impl SimCell {
     /// ```ignore
     /// let out = cell.runner().audited().run();      // audit feature
     /// let out = cell.runner().traced(1 << 16).run(); // trace feature
-    /// let report = cell.runner().per_event_dispatch().run().report;
     /// ```
     pub fn runner(&mut self) -> RunOptions<'_> {
         RunOptions::new(self)
@@ -1165,8 +1163,7 @@ impl SimCell {
     /// first call after construction or [`reset`](Self::reset). Events
     /// scheduled exactly at `t` dispatch before returning, so a
     /// `run_until(t)` + `run_until(end)` split is bit-identical to one
-    /// straight `run_until(end)` — coincident batches never straddle the
-    /// split instant.
+    /// straight `run_until(end)`.
     ///
     /// # Panics
     ///
@@ -1183,7 +1180,7 @@ impl SimCell {
             self.phase = CellPhase::Running;
         }
         let horizon = t.min(self.engine.model().end);
-        self.engine.run_until_batched(horizon)
+        self.engine.run_until(horizon)
     }
 
     /// Runs any remaining events to the horizon and builds the report.
@@ -1283,7 +1280,6 @@ impl SimCell {
 #[must_use = "RunOptions does nothing until .run() is called"]
 pub struct RunOptions<'a> {
     cell: &'a mut SimCell,
-    per_event_dispatch: bool,
     eager_mem_poll: bool,
     #[cfg(feature = "audit")]
     audited: bool,
@@ -1316,7 +1312,6 @@ impl<'a> RunOptions<'a> {
     fn new(cell: &'a mut SimCell) -> Self {
         RunOptions {
             cell,
-            per_event_dispatch: false,
             eager_mem_poll: false,
             #[cfg(feature = "audit")]
             audited: false,
@@ -1325,14 +1320,6 @@ impl<'a> RunOptions<'a> {
             #[cfg(feature = "trace")]
             counted: false,
         }
-    }
-
-    /// Dispatch one event at a time ([`Engine::run_until`]) instead of
-    /// the coincident-batch path — the reference schedule the batched
-    /// dispatcher must reproduce bit-for-bit. For the property suite.
-    pub fn per_event_dispatch(mut self) -> Self {
-        self.per_event_dispatch = true;
-        self
     }
 
     /// Re-poll the memory system on stale (superseded) MemTicks — the
@@ -1374,8 +1361,7 @@ impl<'a> RunOptions<'a> {
     }
 
     /// Seeds the calendar, runs to the horizon with the configured
-    /// dispatch mode and observers, and builds the report plus any
-    /// requested artifacts.
+    /// observers, and builds the report plus any requested artifacts.
     ///
     /// # Panics
     ///
@@ -1429,11 +1415,7 @@ impl<'a> RunOptions<'a> {
         let end = cell.engine.model().end;
         SystemSim::seed(&mut cell.engine);
         cell.phase = CellPhase::Running;
-        if self.per_event_dispatch {
-            cell.engine.run_until(end);
-        } else {
-            cell.engine.run_until_batched(end);
-        }
+        cell.engine.run_until(end);
         let events = cell.engine.scheduler().events_dispatched();
         #[cfg(feature = "audit")]
         let time_checks = cell.engine.scheduler().audit_time_checks();
@@ -2693,6 +2675,8 @@ impl SystemSim {
 
         let peak = self.cfg.dram.peak_bandwidth_gbps();
         let mem_stats = self.mem.stats();
+        let min_ft = all_ft_samples.iter().copied().min().unwrap_or(0);
+        let max_ft = all_ft_samples.iter().copied().max().unwrap_or(0);
         SystemReport {
             scheme: self.cfg.scheme,
             duration: self.cfg.duration,
@@ -2735,6 +2719,7 @@ impl SystemSim {
             } else {
                 SimDelta::ZERO
             },
+            min_flow_time: SimDelta::from_ns(min_ft),
             p50_flow_time: SimDelta::from_ns(crate::trace::percentile_ns(
                 all_ft_samples.iter().copied(),
                 0.50,
@@ -2747,6 +2732,7 @@ impl SystemSim {
                 all_ft_samples.into_iter(),
                 0.99,
             )),
+            max_flow_time: SimDelta::from_ns(max_ft),
             events,
         }
     }
@@ -2777,31 +2763,14 @@ impl SystemSim {
     }
 }
 
-impl SystemSim {
-    /// Dispatch-group index of an event, in measured dispatch-frequency
-    /// order (the `perf --breakdown` ranking at the BENCH_2 pin: MemTick
-    /// and ComputeDone dominate, Background and Rollback are rare). The
-    /// batched dispatcher uses it to detect contiguous same-kind runs,
-    /// and [`Model::handle`] orders its match arms the same way so the
-    /// hottest kinds take the earliest exits.
-    fn kind_index(ev: Ev) -> u8 {
-        match ev {
-            Ev::MemTick => 0,
-            Ev::ComputeDone { .. } => 1,
-            Ev::SaArrival { .. } => 2,
-            Ev::CpuDone { .. } => 3,
-            Ev::Source { .. } => 4,
-            Ev::Background { .. } => 5,
-            Ev::Rollback { .. } => 6,
-        }
-    }
-}
-
 impl Model for SystemSim {
     type Event = Ev;
 
     fn handle(&mut self, ev: Ev, sched: &mut Scheduler<Ev>) {
-        // Arms in measured frequency order (see `kind_index`).
+        // Arms in measured dispatch-frequency order (the `perf --breakdown`
+        // ranking at the BENCH_2 pin: MemTick and ComputeDone dominate,
+        // Background and Rollback are rare), so the hottest kinds take the
+        // earliest exits.
         match ev {
             Ev::MemTick => self.on_mem_tick(sched),
             Ev::ComputeDone { ip, lane } => self.on_compute_done(ip, lane, sched),
@@ -2814,86 +2783,6 @@ impl Model for SystemSim {
             Ev::Background { cpu } => self.on_background(cpu, sched),
             Ev::Rollback { flow, dispatch } => self.on_rollback(flow, dispatch, sched),
         }
-    }
-
-    /// Dispatches a coincident batch in seq order, grouping contiguous
-    /// same-kind runs through a single match branch so a MemTick or
-    /// compute-round storm pays for one kind dispatch instead of one per
-    /// event. Seq order is load-bearing: same-instant MemTick and
-    /// ComputeDone do not commute (the poll changes the EDF-eligible lane
-    /// set, and with it the context-switch schedule), so any regrouping
-    /// that crosses kinds drifts the golden digests. Run-coalescing never
-    /// reorders, and the golden table plus the batched-vs-per-event
-    /// property test referee that bit-for-bit.
-    fn handle_batch(&mut self, batch: &mut Vec<Ev>, sched: &mut Scheduler<Ev>) {
-        if batch.len() == 1 {
-            // The overwhelmingly common case: skip run detection.
-            let ev = batch[0];
-            batch.clear();
-            self.handle(ev, sched);
-            return;
-        }
-        let mut i = 0;
-        while i < batch.len() {
-            let head = batch[i];
-            let kind = Self::kind_index(head);
-            let mut j = i + 1;
-            while j < batch.len() && Self::kind_index(batch[j]) == kind {
-                j += 1;
-            }
-            match head {
-                Ev::MemTick => {
-                    for _ in i..j {
-                        self.on_mem_tick(sched);
-                    }
-                }
-                Ev::ComputeDone { .. } => {
-                    for &ev in &batch[i..j] {
-                        if let Ev::ComputeDone { ip, lane } = ev {
-                            self.on_compute_done(ip, lane, sched);
-                        }
-                    }
-                }
-                Ev::SaArrival { .. } => {
-                    for &ev in &batch[i..j] {
-                        if let Ev::SaArrival { ip, lane, bytes } = ev {
-                            self.on_sa_arrival(ip, lane, bytes, sched);
-                        }
-                    }
-                }
-                Ev::CpuDone { .. } => {
-                    for &ev in &batch[i..j] {
-                        if let Ev::CpuDone { cpu } = ev {
-                            self.on_cpu_done(cpu, sched);
-                        }
-                    }
-                }
-                Ev::Source { .. } => {
-                    for &ev in &batch[i..j] {
-                        if let Ev::Source { flow } = ev {
-                            self.on_source(flow, sched);
-                            self.drain_kicks(sched);
-                        }
-                    }
-                }
-                Ev::Background { .. } => {
-                    for &ev in &batch[i..j] {
-                        if let Ev::Background { cpu } = ev {
-                            self.on_background(cpu, sched);
-                        }
-                    }
-                }
-                Ev::Rollback { .. } => {
-                    for &ev in &batch[i..j] {
-                        if let Ev::Rollback { flow, dispatch } = ev {
-                            self.on_rollback(flow, dispatch, sched);
-                        }
-                    }
-                }
-            }
-            i = j;
-        }
-        batch.clear();
     }
 }
 
@@ -2946,8 +2835,7 @@ mod tests {
     }
 
     /// Stepping to an arbitrary split instant and finishing must be
-    /// bit-identical to running straight through: coincident batches
-    /// never straddle the split.
+    /// bit-identical to running straight through.
     #[test]
     fn split_run_matches_straight_run_bit_for_bit() {
         for &scheme in &Scheme::ALL {
@@ -3197,21 +3085,26 @@ mod tests {
         assert!(summary.edf_checks > 0, "EDF hook never fired");
     }
 
-    /// p50 ≤ p95 ≤ p99, and the new percentiles do not feed the digest.
+    /// 0 < min ≤ p50 ≤ p95 ≤ p99 ≤ max, and the fields added after the
+    /// golden table was frozen do not feed the digest.
     #[test]
     fn flow_time_percentiles_are_ordered() {
         let rep = run(Scheme::Baseline, vec![small_video("v")]);
+        assert!(rep.min_flow_time.as_ns() > 0);
+        assert!(rep.min_flow_time <= rep.p50_flow_time);
         assert!(rep.p50_flow_time <= rep.p95_flow_time);
         assert!(rep.p95_flow_time <= rep.p99_flow_time);
-        assert!(rep.p50_flow_time.as_ns() > 0);
+        assert!(rep.p99_flow_time <= rep.max_flow_time);
 
         let mut tweaked = rep.clone();
+        tweaked.min_flow_time = SimDelta::ZERO;
         tweaked.p50_flow_time = SimDelta::ZERO;
         tweaked.p99_flow_time = SimDelta::ZERO;
+        tweaked.max_flow_time = SimDelta::ZERO;
         assert_eq!(
             rep.digest(),
             tweaked.digest(),
-            "p50/p99 must not be part of the frozen golden digest"
+            "min/p50/p99/max must not be part of the frozen golden digest"
         );
     }
 
@@ -3461,7 +3354,7 @@ mod tests {
             let end = sim.end;
             let mut engine = Engine::new(sim);
             SystemSim::seed(&mut engine);
-            engine.run_until_batched(end);
+            engine.run_until(end);
             let events = engine.scheduler().events_dispatched();
             let mut sim = engine.into_model();
             let report = sim.build_report(events);

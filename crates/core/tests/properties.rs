@@ -184,38 +184,6 @@ fn eager_mem_poll_is_behavior_preserving() {
     });
 }
 
-/// Batched coincident dispatch must be invisible: grouping same-instant
-/// events into one `handle_batch` call (with contiguous same-kind runs
-/// coalesced) reproduces the per-event schedule bit-for-bit on random
-/// geometries, under every scheme.
-#[test]
-fn batched_dispatch_is_behavior_preserving() {
-    forall("batched dispatch", 8, |rng| {
-        let geoms = vec_of(rng, 1, 3, arb_flow);
-        let scheme = Scheme::ALL[rng.below(Scheme::ALL.len() as u64) as usize];
-        let cfg = || {
-            let mut cfg = SystemConfig::table3(scheme);
-            cfg.duration = SimDelta::from_ms(150);
-            cfg
-        };
-        let batched = SystemSim::run(cfg(), build(&geoms));
-        let per_event = vip_core::SimCell::new(cfg(), build(&geoms))
-            .runner()
-            .per_event_dispatch()
-            .run()
-            .report;
-        assert_eq!(
-            batched.digest(),
-            per_event.digest(),
-            "{scheme}: batching changed behavior"
-        );
-        assert_eq!(
-            batched.events, per_event.events,
-            "{scheme}: event calendar differs"
-        );
-    });
-}
-
 /// Snapshot/restore is invisible at any split instant: for random
 /// geometries, schemes, and split points `t`, snapshotting at `t`,
 /// restoring into a warm cell, and continuing reproduces the

@@ -25,24 +25,6 @@ pub trait Model {
     /// Reacts to one event. `sched` is the live calendar: the model may
     /// schedule or cancel events and read the current time from it.
     fn handle(&mut self, ev: Self::Event, sched: &mut Scheduler<Self::Event>);
-
-    /// Reacts to a batch of events sharing one instant, delivered in
-    /// `(time, insertion sequence)` order (see
-    /// [`Scheduler::drain_coincident_into`]). The model must drain the
-    /// batch completely; events the model schedules *at* the current
-    /// instant while handling the batch form a follow-up batch — exactly
-    /// where they would have fired per-event, since fresh entries carry
-    /// larger sequence numbers than everything drained.
-    ///
-    /// The default dispatches per event in batch order, which is
-    /// observationally identical to [`Engine::run_until`]; models may
-    /// override to amortize work across a coincident batch as long as the
-    /// observable schedule stays the same.
-    fn handle_batch(&mut self, batch: &mut Vec<Self::Event>, sched: &mut Scheduler<Self::Event>) {
-        for ev in batch.drain(..) {
-            self.handle(ev, sched);
-        }
-    }
 }
 
 /// Handle to a scheduled event, usable with [`Scheduler::cancel`].
@@ -263,55 +245,6 @@ impl<E> Scheduler<E> {
         }
     }
 
-    /// Pops *every* pending event sharing the earliest live instant into
-    /// `batch`, preserving `(time, insertion sequence)` order, and returns
-    /// how many were drained (0 iff the calendar is empty). The clock
-    /// advances to that instant and each drained event counts as
-    /// dispatched, exactly as under per-event `pop`s.
-    ///
-    /// `batch` must arrive empty; the caller owns it and reuses it across
-    /// drains so the steady state allocates nothing.
-    pub fn drain_coincident_into(&mut self, batch: &mut Vec<E>) -> usize {
-        debug_assert!(batch.is_empty(), "coincident batch not drained");
-        let Some((at, ev)) = self.pop() else {
-            return 0;
-        };
-        batch.push(ev);
-        self.drain_followers_into(at, batch);
-        batch.len()
-    }
-
-    /// Pops every further pending event at exactly `at` into `batch`
-    /// (the tail of a coincident drain; the head event was popped by the
-    /// caller). The first later-instant entry encountered is stashed in
-    /// the front slot rather than re-pushed: it came off the heap top,
-    /// so it is the minimum and the slot invariant holds — and the next
-    /// peek/pop then hit the slot instead of the heap.
-    fn drain_followers_into(&mut self, at: SimTime, batch: &mut Vec<E>) {
-        loop {
-            let entry = match self.front.take() {
-                Some(f) => f,
-                None => match self.heap.pop() {
-                    Some(e) => e,
-                    None => return,
-                },
-            };
-            if self.consume_tombstone(entry.seq) {
-                continue;
-            }
-            if entry.at != at {
-                self.front = Some(entry);
-                return;
-            }
-            #[cfg(feature = "audit")]
-            {
-                self.audit_pops += 1;
-            }
-            self.dispatched += 1;
-            batch.push(entry.ev);
-        }
-    }
-
     /// The instant of the next live (un-cancelled) event, if any.
     /// Cancelled entries encountered on the way are discarded, so repeated
     /// peeks stay cheap.
@@ -334,18 +267,6 @@ impl<E> Scheduler<E> {
             return Some(at);
         }
     }
-
-    /// The instant of the next pending event, if any.
-    pub fn next_event_time(&self) -> Option<SimTime> {
-        // Without `&mut` we cannot discard cancelled heap heads, so a
-        // cancelled head makes this conservative (returns the cancelled
-        // head's time). The engine handles that by re-checking after pop;
-        // use [`Scheduler::peek`] for the exact answer.
-        match &self.front {
-            Some(f) => Some(f.at),
-            None => self.heap.peek().map(|e| e.at),
-        }
-    }
 }
 
 /// A self-contained capture of a [`Scheduler`]: clock, sequence counter,
@@ -354,7 +275,7 @@ impl<E> Scheduler<E> {
 /// times, into any scheduler of the same event type — by
 /// [`Scheduler::restore`]. Restoring and continuing is indistinguishable
 /// from never having stopped: entry sequence numbers, tombstones and the
-/// front-slot invariant all carry over, so coincident-batch grouping and
+/// front-slot invariant all carry over, so same-instant ordering and
 /// token cancellation replay identically.
 #[derive(Clone)]
 pub struct SchedulerSnapshot<E> {
@@ -440,8 +361,6 @@ pub enum RunOutcome {
     Drained,
     /// The time horizon passed; undispatched events at later instants remain.
     HorizonReached,
-    /// The event budget was exhausted.
-    BudgetExhausted,
 }
 
 impl<E> std::fmt::Debug for Scheduler<E> {
@@ -467,9 +386,6 @@ pub type DispatchHook<M> = Box<dyn FnMut(SimTime, &<M as Model>::Event)>;
 pub struct Engine<M: Model> {
     model: M,
     sched: Scheduler<M::Event>,
-    /// Reused coincident-batch scratch for [`Engine::run_until_batched`];
-    /// empty between drains.
-    batch: Vec<M::Event>,
     /// Observation point for telemetry: called with `(now, &event)` just
     /// before every dispatch. Only exists under the `trace` feature, so the
     /// default build's dispatch loop carries no branch for it.
@@ -483,7 +399,6 @@ impl<M: Model> Engine<M> {
         Engine {
             model,
             sched: Scheduler::new(),
-            batch: Vec::new(),
             #[cfg(feature = "trace")]
             dispatch_hook: None,
         }
@@ -572,63 +487,6 @@ impl<M: Model> Engine<M> {
             }
         }
     }
-
-    /// Like [`run_until`](Self::run_until), but delivers all events
-    /// sharing an instant to the model in one [`Model::handle_batch`]
-    /// call: one peek/drain per *instant* instead of per event, with the
-    /// batch buffer reused across instants. Events scheduled at the
-    /// current instant from inside the batch fire in a follow-up batch,
-    /// in their insertion order — the position per-event dispatch would
-    /// have given them.
-    ///
-    /// The trace-feature dispatch hook observes every drained event (in
-    /// batch order, before the model handles the batch), so counted runs
-    /// see identical totals to [`run_until`](Self::run_until).
-    pub fn run_until_batched(&mut self, horizon: SimTime) -> RunOutcome {
-        let mut batch = std::mem::take(&mut self.batch);
-        let outcome = loop {
-            match self.sched.peek() {
-                None => break RunOutcome::Drained,
-                Some(at) if at > horizon => break RunOutcome::HorizonReached,
-                Some(_) => {
-                    let (at, ev) = self.sched.pop().expect("peeked event");
-                    // Most instants carry exactly one event; dispatch those
-                    // without touching the batch vector. `next_event_time`
-                    // is a raw head read that may report a cancelled head —
-                    // a stale hit at `at` merely detours through the batch
-                    // path, which consumes the tombstone correctly.
-                    if self.sched.next_event_time() != Some(at) {
-                        self.observe_dispatch(at, &ev);
-                        self.model.handle(ev, &mut self.sched);
-                    } else {
-                        batch.push(ev);
-                        self.sched.drain_followers_into(at, &mut batch);
-                        #[cfg(feature = "trace")]
-                        {
-                            for ev in batch.iter() {
-                                self.observe_dispatch(at, ev);
-                            }
-                        }
-                        self.model.handle_batch(&mut batch, &mut self.sched);
-                        debug_assert!(batch.is_empty(), "model must drain the batch");
-                    }
-                }
-            }
-        };
-        self.batch = batch;
-        outcome
-    }
-
-    /// Runs until the calendar drains or `budget` events have been
-    /// dispatched by this call.
-    pub fn run_for_events(&mut self, budget: u64) -> RunOutcome {
-        for _ in 0..budget {
-            if !self.step() {
-                return RunOutcome::Drained;
-            }
-        }
-        RunOutcome::BudgetExhausted
-    }
 }
 
 #[cfg(test)]
@@ -695,18 +553,6 @@ mod tests {
         // The 30ns event survives and fires on a later run.
         assert_eq!(eng.run(), RunOutcome::Drained);
         assert_eq!(eng.model().seen.last(), Some(&(30, 3)));
-    }
-
-    #[test]
-    fn run_for_events_respects_budget() {
-        let mut eng = Engine::new(Recorder::default());
-        for i in 0..10 {
-            eng.scheduler().at(SimTime::from_ns(i), i as u32);
-        }
-        assert_eq!(eng.run_for_events(4), RunOutcome::BudgetExhausted);
-        assert_eq!(eng.model().seen.len(), 4);
-        assert_eq!(eng.run_for_events(100), RunOutcome::Drained);
-        assert_eq!(eng.model().seen.len(), 10);
     }
 
     #[test]
@@ -815,86 +661,13 @@ mod tests {
     }
 
     #[test]
-    fn drain_coincident_pops_the_whole_instant_in_seq_order() {
-        let mut eng = Engine::new(Recorder::default());
-        eng.scheduler().at(SimTime::from_ns(5), 1);
-        eng.scheduler().at(SimTime::from_ns(5), 2);
-        eng.scheduler().at(SimTime::from_ns(9), 3);
-        let mut batch = Vec::new();
-        assert_eq!(eng.scheduler().drain_coincident_into(&mut batch), 2);
-        assert_eq!(batch, vec![1, 2]);
-        assert_eq!(eng.scheduler().now(), SimTime::from_ns(5));
-        assert_eq!(eng.scheduler().events_dispatched(), 2);
-        batch.clear();
-        assert_eq!(eng.scheduler().drain_coincident_into(&mut batch), 1);
-        assert_eq!(batch, vec![3]);
-        batch.clear();
-        assert_eq!(eng.scheduler().drain_coincident_into(&mut batch), 0);
-        assert!(batch.is_empty());
-    }
-
-    #[test]
-    fn drain_coincident_skips_cancelled_entries() {
-        let mut eng = Engine::new(Recorder::default());
-        eng.scheduler().at(SimTime::from_ns(5), 1);
-        let dropped = eng.scheduler().at(SimTime::from_ns(5), 2);
-        eng.scheduler().at(SimTime::from_ns(5), 3);
-        eng.scheduler().cancel(dropped);
-        let mut batch = Vec::new();
-        assert_eq!(eng.scheduler().drain_coincident_into(&mut batch), 2);
-        assert_eq!(batch, vec![1, 3]);
-    }
-
-    #[test]
-    fn batched_run_matches_per_event_run() {
-        // A same-instant burst interleaved with later singletons; the
-        // default handle_batch must reproduce per-event order exactly.
-        let schedule = |eng: &mut Engine<Recorder>| {
-            eng.scheduler().at(SimTime::from_ns(7), 0);
-            eng.scheduler().at(SimTime::from_ns(3), 1);
-            eng.scheduler().at(SimTime::from_ns(3), 2);
-            eng.scheduler().at(SimTime::from_ns(3), 3);
-            eng.scheduler().at(SimTime::from_ns(9), 4);
-        };
-        let mut per_event = Engine::new(Recorder::default());
-        schedule(&mut per_event);
-        assert_eq!(
-            per_event.run_until(SimTime::from_ns(8)),
-            RunOutcome::HorizonReached
-        );
-        let mut batched = Engine::new(Recorder::default());
-        schedule(&mut batched);
-        assert_eq!(
-            batched.run_until_batched(SimTime::from_ns(8)),
-            RunOutcome::HorizonReached
-        );
-        assert_eq!(batched.model().seen, per_event.model().seen);
-        assert_eq!(
-            batched.scheduler().events_dispatched(),
-            per_event.scheduler().events_dispatched()
-        );
-        // The 9ns stragglers survive both modes identically.
-        assert_eq!(
-            batched.run_until_batched(SimTime::from_ns(9)),
-            RunOutcome::Drained
-        );
-        assert_eq!(
-            per_event.run_until(SimTime::from_ns(9)),
-            RunOutcome::Drained
-        );
-        assert_eq!(batched.model().seen, per_event.model().seen);
-    }
-
-    #[test]
-    fn same_instant_follow_ups_fire_in_a_second_batch() {
-        /// Records the size of every batch it receives; event 1 schedules
-        /// a same-instant follow-up.
+    fn same_instant_follow_ups_fire_after_pending_events() {
+        /// Event 1 schedules a same-instant follow-up.
         #[derive(Default)]
-        struct BatchSizes {
-            sizes: Vec<usize>,
+        struct FollowUp {
             seen: Vec<u32>,
         }
-        impl Model for BatchSizes {
+        impl Model for FollowUp {
             type Event = u32;
             fn handle(&mut self, ev: u32, sched: &mut Scheduler<u32>) {
                 if ev == 1 {
@@ -902,25 +675,13 @@ mod tests {
                 }
                 self.seen.push(ev);
             }
-            fn handle_batch(&mut self, batch: &mut Vec<u32>, sched: &mut Scheduler<u32>) {
-                self.sizes.push(batch.len());
-                for ev in batch.drain(..) {
-                    self.handle(ev, sched);
-                }
-            }
         }
-        let mut eng = Engine::new(BatchSizes::default());
+        let mut eng = Engine::new(FollowUp::default());
         eng.scheduler().at(SimTime::from_ns(5), 1);
         eng.scheduler().at(SimTime::from_ns(5), 2);
-        assert_eq!(
-            eng.run_until_batched(SimTime::from_ns(5)),
-            RunOutcome::Drained
-        );
-        // The follow-up scheduled *during* the first batch fires at the same
-        // instant, after everything already pending. It is alone at its
-        // dispatch point, so the engine's singleton fast path hands it to
-        // `handle` directly instead of forming a one-event batch.
-        assert_eq!(eng.model().sizes, vec![2]);
+        assert_eq!(eng.run_until(SimTime::from_ns(5)), RunOutcome::Drained);
+        // The follow-up scheduled *during* event 1 fires at the same
+        // instant, after everything already pending there.
         assert_eq!(eng.model().seen, vec![1, 2, 99]);
         assert_eq!(eng.now(), SimTime::from_ns(5));
     }
@@ -952,34 +713,34 @@ mod tests {
         let schedule = |eng: &mut Engine<Recorder>| {
             eng.scheduler().at(SimTime::from_ns(10), 1);
             eng.scheduler().at(SimTime::from_ns(20), 2);
-            eng.scheduler().at(SimTime::from_ns(20), 3); // coincident pair
+            eng.scheduler().at(SimTime::from_ns(20), 3); // same-instant pair
             let dead = eng.scheduler().at(SimTime::from_ns(25), 9);
             eng.scheduler().at(SimTime::from_ns(30), 4);
             eng.scheduler().cancel(dead);
         };
         let mut straight = Engine::new(Recorder::default());
         schedule(&mut straight);
-        straight.run_until_batched(SimTime::from_ns(30));
+        straight.run_until(SimTime::from_ns(30));
 
         let mut eng = Engine::new(Recorder::default());
         schedule(&mut eng);
-        eng.run_until_batched(SimTime::from_ns(15));
+        eng.run_until(SimTime::from_ns(15));
         let snap = eng.scheduler_ref().snapshot();
         assert_eq!(snap.now(), SimTime::from_ns(10));
         assert_eq!(snap.events_dispatched(), 1);
         // Snapshotting is non-destructive: the original continues...
-        eng.run_until_batched(SimTime::from_ns(30));
+        eng.run_until(SimTime::from_ns(30));
         assert_eq!(eng.model().seen, straight.model().seen);
 
         // ...and the capture restores into a different warm engine, twice.
         for _ in 0..2 {
             let mut resumed = Engine::new(Recorder::default());
             resumed.scheduler().at(SimTime::from_ns(1), 77); // stale state
-            resumed.run_until_batched(SimTime::from_ns(5));
+            resumed.run_until(SimTime::from_ns(5));
             resumed.model_mut().seen.clear();
             resumed.scheduler().restore(&snap);
             assert_eq!(resumed.scheduler().now(), SimTime::from_ns(10));
-            resumed.run_until_batched(SimTime::from_ns(30));
+            resumed.run_until(SimTime::from_ns(30));
             assert_eq!(resumed.model().seen, vec![(20, 2), (20, 3), (30, 4)]);
             assert_eq!(
                 resumed.scheduler().events_dispatched(),

@@ -23,8 +23,9 @@
 //!
 //! Escape hatch: a `// lint:allow(RULE)` comment on the offending line or
 //! the line above suppresses one rule at that site. `--strict` mode
-//! additionally rejects stale allows (ones that suppressed nothing) and
-//! allows naming unknown rules.
+//! additionally rejects stale allows (ones that suppressed nothing),
+//! allows naming unknown rules, and H001 hot-set names that their file no
+//! longer defines.
 //!
 //! Diagnostics are emitted as human-readable text and, with `--json`, as
 //! machine-readable JSON built on the `telemetry::json` emitter helpers.
@@ -63,6 +64,9 @@ pub struct LintReport {
     pub allows: Vec<Allow>,
     /// Files scanned.
     pub files_scanned: usize,
+    /// `(file, name)` for every H001 hot-set name its file does not
+    /// define; strict mode rejects them.
+    pub stale_hot_fns: Vec<(String, &'static str)>,
 }
 
 impl LintReport {
@@ -83,7 +87,9 @@ impl LintReport {
     pub fn is_clean(&self, strict: bool) -> bool {
         self.findings.is_empty()
             && (!strict
-                || (self.stale_allows().count() == 0 && self.unknown_rule_allows().count() == 0))
+                || (self.stale_allows().count() == 0
+                    && self.unknown_rule_allows().count() == 0
+                    && self.stale_hot_fns.is_empty()))
     }
 
     /// Renders the report as human-readable diagnostics, one per line.
@@ -103,6 +109,11 @@ impl LintReport {
                 out.push_str(&format!(
                     "{}:{}: strict: lint:allow names unknown rule '{}'\n",
                     a.file, a.line, a.rule
+                ));
+            }
+            for (file, name) in &self.stale_hot_fns {
+                out.push_str(&format!(
+                    "{file}: strict: H001 hot set names `{name}`, which this file does not define\n"
                 ));
             }
         }
@@ -227,7 +238,8 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
 
 /// Lints the workspace rooted at `root` (the directory holding the
 /// top-level `Cargo.toml`). Scans the sim crates with every rule and the
-/// remaining crates with the safety rule.
+/// remaining crates with the safety rule, and checks the H001 hot set
+/// against the files it names (a missing file leaves every name stale).
 pub fn lint_workspace(root: &Path) -> std::io::Result<LintReport> {
     let mut report = LintReport::default();
     let mut files: Vec<PathBuf> = Vec::new();
@@ -247,6 +259,13 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<LintReport> {
         report.findings.extend(findings);
         report.allows.extend(allows);
         report.files_scanned += 1;
+    }
+    for &(rel, _) in &rules::H001_HOT_FNS {
+        let text = std::fs::read_to_string(root.join(rel)).unwrap_or_default();
+        let stale = rules::stale_hot_fns(&SourceFile::parse(rel, &text));
+        report
+            .stale_hot_fns
+            .extend(stale.into_iter().map(|name| (rel.to_string(), name)));
     }
     Ok(report)
 }
@@ -296,6 +315,7 @@ mod tests {
             findings,
             allows,
             files_scanned: 1,
+            ..LintReport::default()
         };
         assert!(report.is_clean(false));
         assert!(!report.is_clean(true), "stale allow must fail strict mode");
@@ -311,9 +331,29 @@ mod tests {
             findings,
             allows,
             files_scanned: 1,
+            ..LintReport::default()
         };
         assert!(!report.findings.is_empty(), "D999 must not suppress D001");
         assert!(!report.is_clean(true));
+    }
+
+    #[test]
+    fn stale_hot_fn_name_fails_strict() {
+        // `mapping.rs`'s hot set is `place` and `split_into`; this source
+        // defines only the first.
+        let src = SourceFile::parse("crates/dram/src/mapping.rs", "fn place() {}\n");
+        let stale = rules::stale_hot_fns(&src);
+        assert_eq!(stale, vec!["split_into"]);
+        let report = LintReport {
+            stale_hot_fns: vec![(src.path.clone(), stale[0])],
+            ..LintReport::default()
+        };
+        assert!(report.is_clean(false));
+        assert!(
+            !report.is_clean(true),
+            "stale hot-set name must fail strict mode"
+        );
+        assert!(report.render(true).contains("`split_into`"));
     }
 
     #[test]
@@ -326,6 +366,7 @@ mod tests {
             findings,
             allows,
             files_scanned: 1,
+            ..LintReport::default()
         };
         let doc = telemetry::json::parse(&report.to_json()).expect("valid JSON");
         let arr = doc.get("findings").and_then(|f| f.as_arr()).expect("array");

@@ -5,7 +5,8 @@
 //! ```
 //!
 //! Exit codes: 0 clean, 1 findings (or, with `--strict`, stale/unknown
-//! `lint:allow` escapes), 2 usage or I/O error.
+//! `lint:allow` escapes or stale H001 hot-set names), 2 usage or I/O
+//! error.
 
 #![deny(unsafe_code)]
 

@@ -65,8 +65,10 @@ const H002_ALLOW: [&str; 8] = [
 
 /// The engine dispatch loop and `SystemSim` dispatch scratch paths: the
 /// functions that execute per event in steady state and must never
-/// allocate. Keyed by path suffix so fixtures can impersonate the files.
-const H001_HOT_FNS: [(&str, &[&str]); 5] = [
+/// allocate. Keyed by path suffix so fixtures can impersonate the files;
+/// each key is also the file's workspace-relative path, which the strict
+/// workspace pass uses to check every name still names a `fn`.
+pub(crate) const H001_HOT_FNS: [(&str, &[&str]); 5] = [
     (
         "crates/desim/src/engine.rs",
         &[
@@ -77,17 +79,11 @@ const H001_HOT_FNS: [(&str, &[&str]); 5] = [
             "consume_tombstone",
             "pop",
             "peek",
-            "next_event_time",
             "step",
             "run",
             "run_until",
-            "run_until_batched",
-            "run_for_events",
             "observe_dispatch",
-            "drain_coincident_into",
-            "drain_followers_into",
             "reset",
-            "handle_batch",
         ],
     ),
     (
@@ -117,8 +113,6 @@ const H001_HOT_FNS: [(&str, &[&str]); 5] = [
             "on_sa_arrival",
             "round_part",
             "stream_addr",
-            "handle_batch",
-            "kind_index",
             "run_until",
             "reset",
             "reset_flow_rt",
@@ -153,6 +147,14 @@ const H001_HOT_FNS: [(&str, &[&str]); 5] = [
     ),
     ("crates/dram/src/mapping.rs", &["place", "split_into"]),
 ];
+
+/// The H001 hot set of the file at `path`, if it is one of the hot files.
+fn hot_fns(path: &str) -> Option<&'static [&'static str]> {
+    H001_HOT_FNS
+        .iter()
+        .find(|(suffix, _)| path.ends_with(suffix))
+        .map(|&(_, hot)| hot)
+}
 
 /// Applies every rule in scope for `src.path`.
 pub fn apply_all(src: &SourceFile) -> Vec<Finding> {
@@ -318,10 +320,7 @@ fn enclosing_fns(src: &SourceFile) -> Vec<Option<String>> {
 /// scratch buffers; any `Vec::new`/`Box::new`/`format!`-class call inside
 /// it regresses the events/sec the perf harness tracks.
 fn h001_hot_alloc(src: &SourceFile, out: &mut Vec<Finding>) {
-    let Some(&(_, hot)) = H001_HOT_FNS
-        .iter()
-        .find(|(suffix, _)| src.path.ends_with(suffix))
-    else {
+    let Some(hot) = hot_fns(&src.path) else {
         return;
     };
     let owners = enclosing_fns(src);
@@ -373,6 +372,23 @@ fn h001_hot_alloc(src: &SourceFile, out: &mut Vec<Finding>) {
             ));
         }
     }
+}
+
+/// The H001 hot-set names that `src` defines no `fn` for. A renamed or
+/// deleted hot function would otherwise drop out of the allocation check
+/// without a word. The workspace pass runs this in strict mode; the
+/// per-file rules cannot, because their fixtures impersonate the hot files
+/// with partial sources.
+pub(crate) fn stale_hot_fns(src: &SourceFile) -> Vec<&'static str> {
+    let Some(hot) = hot_fns(&src.path) else {
+        return Vec::new();
+    };
+    let defines = |name: &str| {
+        src.tokens
+            .windows(2)
+            .any(|w| w[0].0.is_ident("fn") && w[1].0.is_ident(name))
+    };
+    hot.iter().copied().filter(|name| !defines(name)).collect()
 }
 
 /// H002: `#[cfg(feature = "trace")]` / `"audit"` gates fork the compiled
