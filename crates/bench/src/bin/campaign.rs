@@ -14,12 +14,12 @@
 //! ```
 //!
 //! `--resume` replays an interrupted journal (tolerating a truncated
-//! final line from a crash mid-write), skips every completed cell, and
-//! appends the rest. Because the aggregator's state is order-insensitive
-//! integers, the final aggregate JSON is byte-identical to a
-//! straight-through run — the identity `--smoke` enforces, along with
-//! workers=1 vs workers=2 byte-equality and strict re-parsing of every
-//! journal line.
+//! final line from a crash mid-write, and rejecting records from another
+//! campaign), skips every completed cell, and appends the rest. Because
+//! the aggregator's state is order-insensitive integers, the final
+//! aggregate JSON is byte-identical to a straight-through run — the
+//! identity `--smoke` enforces, along with workers=1 vs workers=2
+//! byte-equality and strict re-parsing of every journal line.
 
 use std::io::Write;
 use std::time::Instant;
@@ -29,41 +29,37 @@ use telemetry::{CampaignAggregator, CellResult};
 use vip_bench::{read_journal, run_campaign, CampaignSpec, Heartbeat};
 
 fn main() {
-    let argv: Vec<String> = std::env::args().collect();
-    let get = |flag: &str| -> Option<String> {
-        argv.iter()
-            .position(|a| a == flag)
-            .and_then(|i| argv.get(i + 1).cloned())
-    };
-    if argv.iter().any(|a| a == "--smoke") {
+    let args = vip_bench::cli::Args::from_env(
+        "usage: campaign [--cells N] [--seed N] [--ms N] [--workers N] [--out <journal>] \
+         [--aggregate <out.json>] [--heartbeat-every N] [--resume]\n\
+         \x20      campaign --smoke",
+    );
+    if args.has("--smoke") {
         std::process::exit(smoke());
     }
 
     let spec = CampaignSpec {
-        cells: get("--cells").and_then(|v| v.parse().ok()).unwrap_or(100),
-        seed: get("--seed").and_then(|v| v.parse().ok()).unwrap_or(0x5EED),
-        ms: get("--ms").and_then(|v| v.parse().ok()).unwrap_or(100),
+        cells: args.num("--cells", 100),
+        seed: args.num("--seed", 0x5EED),
+        ms: args.ms("--ms", 100),
     };
-    let workers: usize = get("--workers")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4)
-        });
-    let out = get("--out").unwrap_or_else(|| "campaign.ndjson".to_string());
-    let agg_out = get("--aggregate").unwrap_or_else(|| "campaign_agg.json".to_string());
-    let heartbeat_every: u64 = get("--heartbeat-every")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(10);
-    let resume = argv.iter().any(|a| a == "--resume");
+    let parallelism = std::thread::available_parallelism().map_or(4, |n| n.get());
+    let workers: usize = args.num("--workers", parallelism);
+    if workers == 0 {
+        args.bail("--workers must be at least 1");
+    }
+    let out = args.get("--out").unwrap_or("campaign.ndjson".into());
+    let agg_out = args
+        .get("--aggregate")
+        .unwrap_or("campaign_agg.json".into());
+    let heartbeat_every: u64 = args.num("--heartbeat-every", 10);
 
     let mut agg = CampaignAggregator::new();
     let mut skip = FxHashSet::default();
-    if resume {
+    if args.has("--resume") {
         if let Ok(text) = std::fs::read_to_string(&out) {
-            let replayed = read_journal(&text).unwrap_or_else(|e| {
-                eprintln!("campaign: corrupt journal {out}: {e}");
+            let replayed = read_journal(&text, &spec).unwrap_or_else(|e| {
+                eprintln!("campaign: cannot resume {out}: {e}");
                 std::process::exit(1);
             });
             for r in &replayed {
@@ -177,7 +173,7 @@ fn smoke() -> i32 {
     // Resume: replay half the reference journal, run the rest, same bytes.
     let half = lines1.len() / 2;
     let journal = lines1[..half].concat();
-    let replayed = match read_journal(&journal) {
+    let replayed = match read_journal(&journal, &spec) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("smoke: journal replay failed: {e}");

@@ -16,22 +16,16 @@ struct Args {
 }
 
 fn parse_args() -> Args {
-    let argv: Vec<String> = std::env::args().collect();
-    let get = |flag: &str| -> Option<String> {
-        argv.iter()
-            .position(|a| a == flag)
-            .and_then(|i| argv.get(i + 1).cloned())
-    };
-    let mut settings = RunSettings::default();
-    if let Some(ms) = get("--ms").and_then(|v| v.parse().ok()) {
-        settings.duration = desim::SimDelta::from_ms(ms);
-    }
-    if let Some(seed) = get("--seed").and_then(|v| v.parse().ok()) {
-        settings.seed = seed;
-    }
+    let args =
+        vip_bench::cli::Args::from_env("usage: figures [--exp <name>|all] [--ms N] [--seed N]");
+    let default = RunSettings::default();
+    let ms = args.ms("--ms", default.duration.as_ns() / 1_000_000);
     Args {
-        exp: get("--exp").unwrap_or_else(|| "all".into()),
-        settings,
+        exp: args.get("--exp").unwrap_or_else(|| "all".into()),
+        settings: RunSettings {
+            duration: desim::SimDelta::from_ms(ms),
+            seed: args.num("--seed", default.seed),
+        },
     }
 }
 

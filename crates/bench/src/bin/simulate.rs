@@ -72,42 +72,25 @@ fn run_with_audit(
 }
 
 fn main() {
-    let argv: Vec<String> = std::env::args().collect();
-    let get = |flag: &str| -> Option<String> {
-        argv.iter()
-            .position(|a| a == flag)
-            .and_then(|i| argv.get(i + 1).cloned())
-    };
-    let bail = |msg: &str| -> ! {
-        eprintln!("{msg}");
-        eprintln!(
-            "usage: simulate [--file <path>] [--scheme baseline|fb|chained|vip] \
-             [--device nexus7|memopad8|s4|s5|table3] [--ms N] [--timeline] \
-             [--metrics <out.json>] [--trace <out.json>] [--trace-capacity N] [--audit]\n\
-             \x20      simulate --serve [--workers N] [--cache N] [--queue N]  \
-             # what-if service on stdin/stdout\n\
-             \x20      simulate --serve --smoke                                \
-             # CI self-check, exit 0/1"
-        );
-        std::process::exit(2);
-    };
-    // A numeric flag: absent gives the default, unparsable text exits 2.
-    let num = |flag: &str, default: usize| -> usize {
-        get(flag).map_or(default, |v| {
-            v.parse()
-                .unwrap_or_else(|_| bail(&format!("{flag} needs a whole number, got '{v}'")))
-        })
-    };
+    let args = vip_bench::cli::Args::from_env(
+        "usage: simulate [--file <path>] [--scheme baseline|fb|chained|vip] \
+         [--device nexus7|memopad8|s4|s5|table3] [--ms N] [--timeline] \
+         [--metrics <out.json>] [--trace <out.json>] [--trace-capacity N] [--audit]\n\
+         \x20      simulate --serve [--workers N] [--cache N] [--queue N]  \
+         # what-if service on stdin/stdout\n\
+         \x20      simulate --serve --smoke                                \
+         # CI self-check, exit 0/1",
+    );
 
-    if argv.iter().any(|a| a == "--serve") {
-        if argv.iter().any(|a| a == "--smoke") {
+    if args.has("--serve") {
+        if args.has("--smoke") {
             std::process::exit(vip_bench::serve::smoke());
         }
         let defaults = vip_bench::ServeOptions::default();
         let opts = vip_bench::ServeOptions {
-            workers: num("--workers", defaults.workers),
-            cache: num("--cache", defaults.cache),
-            queue: num("--queue", defaults.queue),
+            workers: args.num("--workers", defaults.workers),
+            cache: args.num("--cache", defaults.cache),
+            queue: args.num("--queue", defaults.queue),
         };
         let stdin = std::io::stdin();
         let mut stdout = std::io::stdout();
@@ -126,69 +109,59 @@ fn main() {
         }
     }
 
-    let text = match get("--file") {
+    let text = match args.get("--file") {
         Some(path) => std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| bail(&format!("cannot read {path}: {e}"))),
+            .unwrap_or_else(|e| args.bail(&format!("cannot read {path}: {e}"))),
         None => {
             let mut buf = String::new();
             std::io::stdin()
                 .read_to_string(&mut buf)
-                .unwrap_or_else(|e| bail(&format!("cannot read stdin: {e}")));
+                .unwrap_or_else(|e| args.bail(&format!("cannot read stdin: {e}")));
             buf
         }
     };
     let flows = workloads::parse_specfile(&text)
-        .unwrap_or_else(|e| bail(&format!("workload parse error: {e}")));
+        .unwrap_or_else(|e| args.bail(&format!("workload parse error: {e}")));
 
-    let scheme = match get("--scheme") {
-        Some(s) => scheme_by_name(&s).unwrap_or_else(|| bail(&format!("unknown scheme '{s}'"))),
-        None => Scheme::Vip,
-    };
-    let device = match get("--device") {
-        Some(d) => device_by_name(&d).unwrap_or_else(|| bail(&format!("unknown device '{d}'"))),
-        None => Device::Table3,
-    };
-    let ms = num("--ms", 500) as u64;
-
+    let scheme = args.get("--scheme").map_or(Scheme::Vip, |s| {
+        scheme_by_name(&s).unwrap_or_else(|| args.bail(&format!("unknown scheme '{s}'")))
+    });
+    let device = args.get("--device").map_or(Device::Table3, |d| {
+        device_by_name(&d).unwrap_or_else(|| args.bail(&format!("unknown device '{d}'")))
+    });
+    let ms = args.ms("--ms", 500);
     let mut cfg = device.config(scheme);
-    cfg.duration = desim::SimDelta::checked_from_ms(ms)
-        .filter(|d| *d > desim::SimDelta::ZERO)
-        .unwrap_or_else(|| {
-            bail(&format!(
-                "--ms {ms} is outside 1..={}",
-                u64::MAX / 1_000_000
-            ))
-        });
+    cfg.duration = desim::SimDelta::from_ms(ms);
 
-    let trace_out = get("--trace");
+    let trace_out = args.get("--trace");
     #[cfg(not(feature = "trace"))]
     if trace_out.is_some() {
-        bail(
+        args.bail(
             "--trace requires the `trace` feature: \
              cargo run -p vip-bench --features trace --bin simulate -- ...",
         );
     }
 
-    let audit_on = argv.iter().any(|a| a == "--audit");
+    let audit_on = args.has("--audit");
     #[cfg(not(feature = "audit"))]
     if audit_on {
-        bail(
+        args.bail(
             "--audit requires the `audit` feature: \
              cargo run -p vip-bench --features audit --bin simulate -- ...",
         );
     }
     if audit_on && trace_out.is_some() {
-        bail("--audit and --trace are mutually exclusive; pick one observer per run");
+        args.bail("--audit and --trace are mutually exclusive; pick one observer per run");
     }
 
     #[cfg(feature = "trace")]
     let (report, traces) = if let Some(path) = &trace_out {
-        let capacity = num("--trace-capacity", 1 << 20);
+        let capacity = args.num("--trace-capacity", 1 << 20);
         let mut cell = vip_core::SimCell::new(cfg, flows);
         let out = cell.runner().traced(capacity).run();
         let (report, session) = (out.report, out.trace.expect("traced run"));
         std::fs::write(path, session.export_chrome_json())
-            .unwrap_or_else(|e| bail(&format!("cannot write {path}: {e}")));
+            .unwrap_or_else(|e| args.bail(&format!("cannot write {path}: {e}")));
         eprintln!(
             "trace: {} events kept of {} recorded ({} engine dispatches) -> {path} \
              (open in https://ui.perfetto.dev)",
@@ -209,9 +182,9 @@ fn main() {
         SystemSim::run_detailed(cfg, flows)
     };
 
-    if let Some(path) = get("--metrics") {
+    if let Some(path) = args.get("--metrics") {
         std::fs::write(&path, report.metrics().to_json())
-            .unwrap_or_else(|e| bail(&format!("cannot write {path}: {e}")));
+            .unwrap_or_else(|e| args.bail(&format!("cannot write {path}: {e}")));
     }
 
     println!(
@@ -248,7 +221,7 @@ fn main() {
             f.p95_flow_time.as_ms(),
         );
     }
-    if argv.iter().any(|a| a == "--timeline") {
+    if args.has("--timeline") {
         println!();
         for t in &traces {
             print!("{}", t.render(12));

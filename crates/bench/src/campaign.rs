@@ -351,28 +351,50 @@ pub fn run_campaign_checkpointed<F>(
     });
 }
 
-/// Replays a journal written by [`run_campaign`]'s caller.
+/// Replays a journal that [`run_campaign`]'s caller wrote for `spec`.
 ///
 /// A crash can truncate only the *final* line (records are written with
 /// one atomic-enough `write` + flush per cell), so a malformed last line
 /// is silently dropped; a malformed line anywhere else means the file
-/// was corrupted, not interrupted, and is an error.
+/// was corrupted, not interrupted, and is an error. So is a record from
+/// another campaign: each index must lie inside `spec`'s grid, appear
+/// once, and carry the seed, workload, scheme and config of
+/// `spec.expand()`'s cell at that index. Records carry no horizon, so a
+/// journal written with another `ms` goes undetected.
 ///
 /// # Errors
 ///
-/// Returns the first malformed non-final line with its 1-based number.
-pub fn read_journal(text: &str) -> Result<Vec<CellResult>, String> {
+/// Returns the first malformed non-final line with its 1-based number,
+/// or names the first cell that does not belong to `spec`.
+pub fn read_journal(text: &str, spec: &CampaignSpec) -> Result<Vec<CellResult>, String> {
+    let cells = spec.expand();
+    let mut seen = FxHashSet::default();
     let lines: Vec<&str> = text.lines().collect();
     let mut out = Vec::new();
     for (i, line) in lines.iter().enumerate() {
         if line.trim().is_empty() {
             continue;
         }
-        match CellResult::parse_line(line) {
-            Ok(r) => out.push(r),
-            Err(_) if i + 1 == lines.len() => {} // truncated crash write
+        let r = match CellResult::parse_line(line) {
+            Ok(r) => r,
+            Err(_) if i + 1 == lines.len() => continue, // truncated crash write
             Err(e) => return Err(format!("journal line {}: {e}", i + 1)),
+        };
+        let n = r.cell;
+        let Some(c) = usize::try_from(n).ok().and_then(|n| cells.get(n)) else {
+            return Err(format!("cell {n} is outside the {}-cell grid", spec.cells));
+        };
+        if !seen.insert(n) {
+            return Err(format!("cell {n} appears twice"));
         }
+        let same = r.seed == c.seed
+            && r.workload == c.unit.label()
+            && r.scheme == c.scheme.label()
+            && r.config == c.config_key;
+        if !same {
+            return Err(format!("cell {n} is from another campaign"));
+        }
+        out.push(r);
     }
     Ok(out)
 }
@@ -501,18 +523,29 @@ mod tests {
             lines.push(r.to_ndjson());
         });
         let full = lines.concat();
-        assert_eq!(read_journal(&full).unwrap().len(), 2);
+        assert_eq!(read_journal(&full, &spec).unwrap().len(), 2);
 
         // Crash mid-write: final line cut short is dropped, not fatal.
         let truncated = &full[..full.len() - 30];
-        let replayed = read_journal(truncated).unwrap();
+        let replayed = read_journal(truncated, &spec).unwrap();
         assert_eq!(replayed.len(), 1);
 
         // Corruption in the middle is fatal.
         let mut corrupt = lines.clone();
         corrupt[0] = corrupt[0].replace("\"cell\": 0", "\"cell\": oops");
-        let err = read_journal(&corrupt.concat()).unwrap_err();
+        let err = read_journal(&corrupt.concat(), &spec).unwrap_err();
         assert!(err.contains("line 1"), "{err}");
+
+        // So is a record from another campaign: another seed's grid, an
+        // index outside the grid, or an index seen twice.
+        for (text, spec, cell) in [
+            (&full, CampaignSpec { seed: 2, ..spec }, "cell 0"),
+            (&full, CampaignSpec { cells: 1, ..spec }, "cell 1"),
+            (&lines[0].repeat(2), spec, "cell 0"),
+        ] {
+            let err = read_journal(text, &spec).unwrap_err();
+            assert!(err.contains(cell), "{err}");
+        }
     }
 
     /// Interrupt → checkpoint → resume must reproduce the straight-run

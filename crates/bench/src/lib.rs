@@ -15,6 +15,7 @@
 #![deny(unsafe_code)]
 
 pub mod campaign;
+pub mod cli;
 pub mod experiments;
 pub mod runner;
 pub mod serve;

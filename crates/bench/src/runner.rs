@@ -147,20 +147,6 @@ impl Unit {
         }
     }
 
-    /// Runs this unit under a scheme counting dispatches per event kind
-    /// (via the engine's trace-only hook). The report digest is identical
-    /// to [`Unit::run`]'s — the hook only observes.
-    #[cfg(feature = "trace")]
-    pub fn run_counted(
-        self,
-        scheme: Scheme,
-        settings: RunSettings,
-    ) -> (SystemReport, vip_core::EventCounts) {
-        let mut cell = SimCell::new(settings.config(scheme), self.flows(settings));
-        let out = cell.runner().counted().run();
-        (out.report, out.counts.expect("counted run"))
-    }
-
     /// Runs this unit under a scheme with the runtime sanitizer armed.
     ///
     /// The report is digest-bit-identical to [`Unit::run`]'s (the golden

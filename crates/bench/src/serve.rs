@@ -40,8 +40,8 @@
 //! `unit` is a matrix unit label (`A1`..`A7`, `W1`..`W8`); all other
 //! fields are optional (`scheme` defaults to `vip`, `ms` to 50,
 //! `warmup_ms` to `ms / 2`, `seed` to the bench default). The fields that
-//! size allocations up front are capped: `ms` at 60,000, `extra_flows`
-//! and `num_cpus` at 64; a request past a cap is rejected. The response
+//! size a run are capped: `ms` at 60,000, `extra_flows` and `num_cpus` at
+//! 64; a request past a cap is rejected. The response
 //! carries `ok`, the report `digest` (hex), `cache` (`"hit"`/`"miss"`),
 //! `branch_depth`, the serving `worker`, and headline report fields.
 
@@ -158,11 +158,10 @@ pub struct Resolved {
     triple: String,
 }
 
-/// Caps on the request fields that size allocations up front: the frame
-/// ledgers preallocate for the whole horizon, and `extra_flows` and
-/// `num_cpus` set how many flows and cores are built. An allocation
-/// failure aborts the process, so these are checked before anything is
-/// built. The largest documented request uses `ms` 200.
+/// Caps checked before anything is built. `extra_flows` and `num_cpus`
+/// set how many flows and cores are allocated, and an allocation failure
+/// aborts the process. `ms` bounds a request's run time until requests
+/// carry an event budget; the largest documented request uses `ms` 200.
 const MAX_MS: u64 = 60_000;
 const MAX_EXTRA_FLOWS: u64 = 64;
 const MAX_CPUS: u64 = 64;

@@ -57,7 +57,7 @@ fn resume_matches_straight_through() {
     // Simulate a crash mid-write of the 5th record: the truncated line is
     // dropped on replay, leaving 4 completed cells.
     let truncated = &journal[..journal.len() - 25];
-    let replayed = read_journal(truncated).expect("truncated final line tolerated");
+    let replayed = read_journal(truncated, &spec).expect("truncated final line tolerated");
     assert_eq!(replayed.len(), 4, "partial final record must be dropped");
 
     let mut agg = CampaignAggregator::new();

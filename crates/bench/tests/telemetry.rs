@@ -90,7 +90,8 @@ fn metrics_flag_writes_a_parseable_snapshot() {
 }
 
 /// Unparsable, zero or overflowing horizons exit 2 with a usage error
-/// instead of silently running some other horizon.
+/// instead of silently running some other horizon; `campaign` also
+/// rejects zero workers, and fails before it creates its journal.
 #[test]
 fn bad_ms_flag_is_a_usage_error() {
     for ms in ["abc", "0", "18446744073710"] {
@@ -98,6 +99,24 @@ fn bad_ms_flag_is_a_usage_error() {
         assert_eq!(out.status.code(), Some(2), "--ms {ms} was accepted");
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(err.contains("--ms"), "unhelpful error for --ms {ms}: {err}");
+    }
+    let tmp = std::env::temp_dir().join(format!("vip-bad-flag-{}", std::process::id()));
+    let (journal, agg) = (tmp.with_extension("ndjson"), tmp.with_extension("json"));
+    for [flag, value] in [
+        ["--ms", "18446744073710"],
+        ["--ms", "abc"],
+        ["--workers", "0"],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_campaign"))
+            .args(["--cells", "2", flag, value])
+            .args(["--out".as_ref(), journal.as_os_str()])
+            .args(["--aggregate".as_ref(), agg.as_os_str()])
+            .output()
+            .expect("campaign exits");
+        assert_eq!(out.status.code(), Some(2), "{flag} {value} accepted");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(flag), "{flag} {value}: {err}");
+        assert!(!journal.exists(), "{flag} {value} created the journal");
     }
 }
 

@@ -7,8 +7,8 @@
 //! feature **off** (the default), `Auditor` is a zero-sized struct whose
 //! methods are empty `#[inline]` functions and `is_on()` is a constant
 //! `false`, so the optimizer removes every hook and its argument
-//! computation — the default binary carries no cost (the perf harness
-//! asserts < 2 % vs the tracked baseline). With the feature **on**, the
+//! computation — the default binary carries no cost (checked by perfbench
+//! A/Bs). With the feature **on**, the
 //! same method names check four invariants incrementally, at the moment
 //! each could first be violated:
 //!

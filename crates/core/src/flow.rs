@@ -168,10 +168,12 @@ impl FlowSpec {
     /// How many frame records a run of `duration` is expected to create:
     /// one per period, plus `lookahead` for frames sourced ahead of the
     /// presentation schedule (speculation is bounded by the source-queue
-    /// depth). A sizing hint — the record table still grows if exceeded.
+    /// depth), at most `MAX_FRAMES_HINT`. A sizing hint — the record table
+    /// still grows if exceeded.
     pub fn frames_hint(&self, duration: SimDelta, lookahead: u32) -> usize {
         let period_ns = self.period().as_ns().max(1);
-        (duration.as_ns() / period_ns) as usize + lookahead as usize + 2
+        let frames = (duration.as_ns() / period_ns).saturating_add(u64::from(lookahead) + 2);
+        frames.min(MAX_FRAMES_HINT) as usize
     }
 
     /// Validates the flow.
@@ -350,6 +352,11 @@ impl FlowSpecBuilder {
     }
 }
 
+/// Cap on [`FlowSpec::frames_hint`], which sizes preallocations: far above
+/// any benchmark horizon (at most 300 ms at 60 fps), yet small enough that
+/// the largest horizon a `SimDelta` holds cannot abort on allocation.
+const MAX_FRAMES_HINT: u64 = 1 << 16;
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -372,6 +379,12 @@ mod tests {
         assert_eq!(f.footprint(1), 12_441_600);
         assert_eq!(f.num_stages(), 2);
         assert_eq!(f.period(), SimDelta::from_secs_f64(1.0 / 60.0));
+    }
+
+    #[test]
+    fn frames_hint_is_capped() {
+        let horizon = SimDelta::checked_from_ms(18_446_744_073_709).expect("largest horizon");
+        assert!(video().frames_hint(horizon, u32::MAX) <= MAX_FRAMES_HINT as usize);
     }
 
     #[test]

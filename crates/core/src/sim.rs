@@ -145,19 +145,6 @@ impl EventCounts {
             + self.background
             + self.rollback
     }
-
-    /// `(kind label, count)` rows in a fixed display order.
-    pub fn named(&self) -> [(&'static str, u64); 7] {
-        [
-            ("MemTick", self.mem_tick),
-            ("ComputeDone", self.compute_done),
-            ("SaArrival", self.sa_arrival),
-            ("CpuDone", self.cpu_done),
-            ("Source", self.source),
-            ("Background", self.background),
-            ("Rollback", self.rollback),
-        ]
-    }
 }
 
 /// What a tracked memory completion means.
@@ -2767,10 +2754,10 @@ impl Model for SystemSim {
     type Event = Ev;
 
     fn handle(&mut self, ev: Ev, sched: &mut Scheduler<Ev>) {
-        // Arms in measured dispatch-frequency order (the `perf --breakdown`
-        // ranking at the BENCH_2 pin: MemTick and ComputeDone dominate,
-        // Background and Rollback are rare), so the hottest kinds take the
-        // earliest exits.
+        // Arms in measured dispatch-frequency order (the per-kind counts
+        // pinned in crates/bench/tests/counts.rs: MemTick and ComputeDone
+        // dominate, Background and Rollback are rare), so the hottest
+        // kinds take the earliest exits.
         match ev {
             Ev::MemTick => self.on_mem_tick(sched),
             Ev::ComputeDone { ip, lane } => self.on_compute_done(ip, lane, sched),
@@ -2810,6 +2797,16 @@ mod tests {
 
     fn run(scheme: Scheme, flows: Vec<FlowSpec>) -> SystemReport {
         SystemSim::run(quick_cfg(scheme), flows)
+    }
+
+    /// The largest horizon builds a cell: its preallocation is capped
+    /// (`FlowSpec::frames_hint`), not sized for the whole run.
+    #[test]
+    fn largest_horizon_cell_builds() {
+        let mut cfg = quick_cfg(Scheme::Vip);
+        cfg.duration = SimDelta::checked_from_ms(18_446_744_073_709).expect("largest horizon");
+        let cell = SimCell::new(cfg, vec![small_video("v"), small_video("w")]);
+        assert_eq!(cell.now(), SimTime::ZERO);
     }
 
     /// A reset cell must be bit-for-bit indistinguishable from a fresh

@@ -6,8 +6,8 @@
 //! **off** (the default), `Tracer` is a zero-sized struct whose methods
 //! are empty `#[inline]` functions — the optimizer removes the calls and
 //! the argument computations feeding them, so the simulation binary is
-//! bit-identical in behaviour and within noise in speed (the perf harness
-//! asserts < 2 % vs the tracked baseline). With the feature **on**, the
+//! bit-identical in behaviour and within noise in speed (checked by
+//! perfbench A/Bs). With the feature **on**, the
 //! same method names record interned, fixed-size events into a shared
 //! [`telemetry::RingRecorder`].
 //!

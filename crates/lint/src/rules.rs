@@ -318,7 +318,7 @@ fn enclosing_fns(src: &SourceFile) -> Vec<Option<String>> {
 
 /// H001: allocation in the per-event hot path. The dispatch loop reuses
 /// scratch buffers; any `Vec::new`/`Box::new`/`format!`-class call inside
-/// it regresses the events/sec the perf harness tracks.
+/// it regresses the events/sec that perfbench measures.
 fn h001_hot_alloc(src: &SourceFile, out: &mut Vec<Finding>) {
     let Some(hot) = hot_fns(&src.path) else {
         return;
@@ -610,7 +610,7 @@ mod tests {
     #[test]
     fn sim_scope_rules_skip_non_sim_crates() {
         let src = "use std::time::Instant;\nuse std::collections::HashMap;\n";
-        assert!(lint_at("crates/bench/src/bin/perf.rs", src).is_empty());
+        assert!(lint_at("crates/bench/src/bin/simulate.rs", src).is_empty());
         assert!(!lint_at("crates/core/src/sim.rs", src).is_empty());
     }
 

@@ -2,9 +2,9 @@
 //!
 //! The workspace runs in an offline container, so there is no serde; this
 //! module provides just enough of a recursive-descent parser to let tests
-//! validate exported trace/metrics files and to let the perf harness read
-//! its own baseline JSON back. It accepts strict JSON (RFC 8259) and keeps
-//! object keys in document order.
+//! validate exported trace/metrics files and to let the what-if server and
+//! the campaign journal read their inputs. It accepts strict JSON
+//! (RFC 8259) and keeps object keys in document order.
 
 use std::fmt;
 
