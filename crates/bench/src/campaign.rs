@@ -1,6 +1,8 @@
 //! Population-scale campaign runner: a seeded grid of (workload × scheme
-//! × device-config) cells, dispatched to warm simulation cells on a
-//! worker pool and streamed out as NDJSON.
+//! × device-config) cells, run on the crate's warm-cell pool (each
+//! worker claims the next unrun cell) and streamed out as NDJSON. An
+//! interrupted campaign resumes from its journal ([`read_journal`]):
+//! journaled cells are skipped, and cells that were in flight run again.
 //!
 //! The design target is the aggregate-identity guarantee from the
 //! telemetry layer: every cell is an isolated deterministic simulation,
@@ -17,13 +19,12 @@
 //! heartbeats *trigger* on cell completions, never on timers, so the
 //! simulation path never observes host time.
 
+use crate::pool;
 use crate::runner::{RunSettings, Unit};
-use desim::{FxHashMap, FxHashSet, SimDelta, SimTime, SplitMix64};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use desim::{FxHashSet, SimDelta, SplitMix64};
 use std::time::Instant;
 use telemetry::{CellResult, LogHistogram};
-use vip_core::{Scheme, SimCell, SimSnapshot, SystemConfig};
+use vip_core::{Scheme, SimCell, SystemConfig};
 
 /// The campaign-level knobs: grid size, the master seed every cell's
 /// seed derives from, and the simulated horizon per cell.
@@ -126,129 +127,21 @@ impl CampaignSpec {
     }
 }
 
-/// One in-flight cell's mid-run capture: where it was and the full
-/// simulation state to continue from.
-#[derive(Debug, Clone)]
-pub struct CellCheckpoint {
-    /// Simulated instant the snapshot was taken at.
-    pub at: SimTime,
-    /// The resumable state.
-    pub snap: SimSnapshot,
-}
-
-/// Shared store of mid-flight cell checkpoints, keyed by cell index.
-///
-/// Workers upsert a checkpoint every [`CheckpointPolicy::every`] of
-/// simulated time and remove it when the cell's record is distilled;
-/// after an interrupted [`run_campaign_checkpointed`], the store holds
-/// exactly the cells that were in flight. A subsequent run with the same
-/// store restores those cells instead of cold-starting them, so only the
-/// tail past the last checkpoint is re-simulated — and the resumed
-/// record is bit-identical to a straight-through run's (snapshot/restore
-/// is digest-neutral by the session-API contract).
-///
-/// Checkpoints are in-memory only: [`SimSnapshot`] has no serialized
-/// form, so the store rides within one process (library embeddings,
-/// long-lived drivers). The `campaign` *binary*'s `--resume` remains
-/// journal-based — completed cells replay from NDJSON; in-flight cells
-/// of a killed process restart cold.
-#[derive(Debug, Default)]
-pub struct CheckpointStore {
-    inner: Mutex<FxHashMap<u64, CellCheckpoint>>,
-}
-
-impl CheckpointStore {
-    /// An empty store.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Upserts cell `index`'s checkpoint.
-    pub fn save(&self, index: u64, at: SimTime, snap: SimSnapshot) {
-        self.inner
-            .lock()
-            .expect("checkpoint store lock")
-            .insert(index, CellCheckpoint { at, snap });
-    }
-
-    /// Removes and returns cell `index`'s checkpoint, if any.
-    pub fn take(&self, index: u64) -> Option<CellCheckpoint> {
-        self.inner
-            .lock()
-            .expect("checkpoint store lock")
-            .remove(&index)
-    }
-
-    /// Number of in-flight checkpoints held.
-    pub fn len(&self) -> usize {
-        self.inner.lock().expect("checkpoint store lock").len()
-    }
-
-    /// Whether the store holds no checkpoints.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// How (and whether) a campaign run checkpoints in-flight cells.
-#[derive(Debug)]
-pub struct CheckpointPolicy<'a> {
-    /// Where mid-flight snapshots live (shared across runs to resume).
-    pub store: &'a CheckpointStore,
-    /// Simulated time between checkpoints of a running cell.
-    pub every: SimDelta,
-    /// Graceful-stop flag: once set, workers checkpoint their current
-    /// cell and stop claiming new ones.
-    pub interrupt: &'a AtomicBool,
-}
-
-/// Runs one cell on a warm simulation cell and distills its record.
-///
-/// With a checkpoint policy, the cell runs in `policy.every` slices,
-/// upserting a snapshot after each; an interrupt leaves the latest
-/// checkpoint in the store and returns `None`. A cell whose index is
-/// already checkpointed restores and continues from there instead of
-/// cold-starting.
-fn run_cell(
-    spec: &CellSpec,
-    ms: u64,
-    warm: &mut Option<SimCell>,
-    policy: Option<&CheckpointPolicy<'_>>,
-) -> Option<CellResult> {
+/// Runs one cell on a worker's warm simulation cell and distills its
+/// record.
+fn run_cell(spec: &CellSpec, ms: u64, warm: &mut Option<SimCell>) -> CellResult {
     let settings = RunSettings {
         duration: SimDelta::from_ms(ms),
         seed: spec.seed,
     };
     let t0 = Instant::now();
-    let report = match policy {
-        None => spec.unit.run_warm(&spec.cfg, settings, warm),
-        Some(policy) => {
-            let cell = spec.unit.prepare_warm(&spec.cfg, settings, warm);
-            if let Some(ckpt) = policy.store.take(spec.index) {
-                cell.restore(&ckpt.snap);
-            }
-            let end = SimTime::ZERO + SimDelta::from_ms(ms);
-            let mut next = cell.now() + policy.every;
-            while next < end {
-                cell.run_until(next);
-                policy.store.save(spec.index, cell.now(), cell.snapshot());
-                if policy.interrupt.load(Ordering::Relaxed) {
-                    return None;
-                }
-                next += policy.every;
-            }
-            let report = cell.finish();
-            policy.store.take(spec.index);
-            report
-        }
-    };
+    let cell = pool::shape(warm, &spec.cfg, &spec.unit.flows(settings));
+    let report = cell.run();
     let wall = t0.elapsed().as_secs_f64();
     let mut flow_time_ns = LogHistogram::new();
-    warm.as_ref()
-        .expect("run_warm populated the slot")
-        .harvest_flow_times(&mut flow_time_ns)
+    cell.harvest_flow_times(&mut flow_time_ns)
         .expect("campaign cell run to completion");
-    Some(CellResult {
+    CellResult {
         cell: spec.index,
         seed: spec.seed,
         workload: spec.unit.label().to_string(),
@@ -267,14 +160,15 @@ fn run_cell(
         } else {
             0.0
         },
-    })
+    }
 }
 
 /// Runs the campaign grid on exactly `workers` threads, streaming each
 /// finished cell to `on_result` as `(worker_id, record)` the moment it
 /// completes (not after a barrier — the caller journals and heartbeats
-/// mid-flight). Cells whose index is in `skip` (already journaled by an
-/// interrupted run) are not re-run.
+/// mid-flight, so a crash loses at most the cells still in flight).
+/// Cells whose index is in `skip` (already journaled by an interrupted
+/// run) are not re-run.
 ///
 /// Each worker keeps one warm [`SimCell`] and resets it in place per
 /// claimed cell, so a thousand-cell campaign does a thousand resets but
@@ -287,68 +181,17 @@ pub fn run_campaign<F>(spec: &CampaignSpec, workers: usize, skip: &FxHashSet<u64
 where
     F: FnMut(usize, CellResult),
 {
-    run_campaign_checkpointed(spec, workers, skip, None, on_result);
-}
-
-/// [`run_campaign`] with optional in-flight checkpointing: workers
-/// snapshot their current cell every `policy.every` of simulated time
-/// into `policy.store`, stop gracefully when `policy.interrupt` is set,
-/// and restore checkpointed cells instead of cold-starting them on a
-/// subsequent run with the same store. The streamed records — and hence
-/// the final aggregate — are bit-identical to an uncheckpointed run's.
-///
-/// # Panics
-///
-/// Panics if `workers` is zero.
-pub fn run_campaign_checkpointed<F>(
-    spec: &CampaignSpec,
-    workers: usize,
-    skip: &FxHashSet<u64>,
-    policy: Option<&CheckpointPolicy<'_>>,
-    mut on_result: F,
-) where
-    F: FnMut(usize, CellResult),
-{
-    assert!(workers > 0, "need at least one worker");
     let cells: Vec<CellSpec> = spec
         .expand()
         .into_iter()
         .filter(|c| !skip.contains(&c.index))
         .collect();
-    let workers = workers.min(cells.len().max(1));
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let (tx, rx) = std::sync::mpsc::channel::<(usize, CellResult)>();
-
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            let tx = tx.clone();
-            let cells = &cells;
-            let next = &next;
-            scope.spawn(move || {
-                let mut warm: Option<SimCell> = None;
-                loop {
-                    if policy.is_some_and(|p| p.interrupt.load(Ordering::Relaxed)) {
-                        break;
-                    }
-                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    let Some(cell) = cells.get(i) else { break };
-                    // An interrupted cell left its checkpoint in the
-                    // store; the claim loop will stop at the top.
-                    let Some(record) = run_cell(cell, spec.ms, &mut warm, policy) else {
-                        continue;
-                    };
-                    tx.send((w, record)).expect("collector alive");
-                }
-            });
-        }
-        drop(tx);
-        // Drain on the scope's own thread while workers run: this is what
-        // makes journaling *streaming* — a crash loses at most the cells
-        // still in flight, and resume replays everything already drained.
-        for (w, record) in rx {
-            on_result(w, record);
-        }
-    });
+    pool::run_each(
+        &cells,
+        workers,
+        |cell, warm| run_cell(cell, spec.ms, warm),
+        on_result,
+    );
 }
 
 /// Replays a journal that [`run_campaign`]'s caller wrote for `spec`.
@@ -546,93 +389,6 @@ mod tests {
             let err = read_journal(text, &spec).unwrap_err();
             assert!(err.contains(cell), "{err}");
         }
-    }
-
-    /// Interrupt → checkpoint → resume must reproduce the straight-run
-    /// record bit-identically while re-simulating only the tail past the
-    /// last checkpoint.
-    #[test]
-    fn checkpoint_resume_is_bit_identical_and_skips_warmup() {
-        let spec = CampaignSpec {
-            cells: 1,
-            seed: 0xBEEF,
-            ms: 40,
-        };
-        let cell_spec = &spec.expand()[0];
-
-        // Reference: straight through, no checkpointing.
-        let mut warm = None;
-        let straight =
-            run_cell(cell_spec, spec.ms, &mut warm, None).expect("uninterrupted run completes");
-
-        // Interrupted: the flag is set before the first slice lands, so
-        // the run checkpoints once and bails.
-        let store = CheckpointStore::new();
-        let interrupt = AtomicBool::new(true);
-        let policy = CheckpointPolicy {
-            store: &store,
-            every: SimDelta::from_ms(10),
-            interrupt: &interrupt,
-        };
-        let mut warm2 = None;
-        assert!(
-            run_cell(cell_spec, spec.ms, &mut warm2, Some(&policy)).is_none(),
-            "interrupted run must not distill a record"
-        );
-        assert_eq!(store.len(), 1, "in-flight cell left no checkpoint");
-        let at = store
-            .inner
-            .lock()
-            .unwrap()
-            .get(&cell_spec.index)
-            .expect("checkpointed")
-            .at;
-        assert!(at >= SimTime::ZERO && at <= SimTime::from_ms(10));
-
-        // Resume with the same store: restores past the warmup, finishes,
-        // clears the checkpoint, and matches the reference exactly on
-        // every deterministic field.
-        interrupt.store(false, Ordering::Relaxed);
-        let resumed =
-            run_cell(cell_spec, spec.ms, &mut warm2, Some(&policy)).expect("resumed run completes");
-        assert!(store.is_empty(), "completed cell left its checkpoint");
-        assert_eq!(resumed.digest, straight.digest, "resume drifted");
-        assert_eq!(resumed.events, straight.events);
-        assert_eq!(resumed.frames_completed, straight.frames_completed);
-        assert_eq!(resumed.energy_nj, straight.energy_nj);
-        assert_eq!(resumed.flow_time_ns.count(), straight.flow_time_ns.count());
-        assert_eq!(resumed.flow_time_ns.sum(), straight.flow_time_ns.sum());
-    }
-
-    /// The checkpointed pool streams records bit-identical to the plain
-    /// pool's, and a graceful interrupt + resume covers the whole grid
-    /// exactly once.
-    #[test]
-    fn checkpointed_pool_matches_plain_pool() {
-        let spec = CampaignSpec {
-            cells: 6,
-            seed: 0xA11CE,
-            ms: 15,
-        };
-        let no_skip = FxHashSet::default();
-        let mut plain: Vec<(u64, u64)> = Vec::new();
-        run_campaign(&spec, 2, &no_skip, |_, r| plain.push((r.cell, r.digest)));
-        plain.sort_unstable();
-
-        let store = CheckpointStore::new();
-        let interrupt = AtomicBool::new(false);
-        let policy = CheckpointPolicy {
-            store: &store,
-            every: SimDelta::from_ms(5),
-            interrupt: &interrupt,
-        };
-        let mut ckpt: Vec<(u64, u64)> = Vec::new();
-        run_campaign_checkpointed(&spec, 2, &no_skip, Some(&policy), |_, r| {
-            ckpt.push((r.cell, r.digest));
-        });
-        ckpt.sort_unstable();
-        assert_eq!(plain, ckpt, "checkpoint slicing changed a record");
-        assert!(store.is_empty(), "completed campaign left checkpoints");
     }
 
     #[test]

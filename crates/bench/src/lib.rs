@@ -17,14 +17,12 @@
 pub mod campaign;
 pub mod cli;
 pub mod experiments;
+mod pool;
 pub mod runner;
 pub mod serve;
 pub mod table;
 
-pub use campaign::{
-    read_journal, run_campaign, run_campaign_checkpointed, CampaignSpec, CellCheckpoint, CellSpec,
-    CheckpointPolicy, CheckpointStore, Heartbeat,
-};
+pub use campaign::{read_journal, run_campaign, CampaignSpec, CellSpec, Heartbeat};
 pub use runner::{run_app, run_workload, Matrix, RunSettings, Unit};
 pub use serve::{ServeOptions, Server};
 pub use table::Table;

@@ -2,8 +2,10 @@
 //! units × schemes matrix that Figs 15–18 all consume.
 
 use desim::SimDelta;
-use vip_core::{Scheme, SimCell, SystemConfig, SystemReport, SystemSim};
+use vip_core::{Scheme, SystemConfig, SystemReport, SystemSim};
 use workloads::{App, Workload};
+
+use crate::pool;
 
 /// Settings shared by every experiment run.
 #[derive(Debug, Clone, Copy)]
@@ -104,46 +106,11 @@ impl Unit {
     }
 
     /// This unit's flow set (what [`Unit::run`] would simulate). Public
-    /// so the campaign runner can drive warm cells directly.
+    /// so callers can drive a [`SimCell`](vip_core::SimCell) directly.
     pub fn flows(self, settings: RunSettings) -> Vec<vip_core::FlowSpec> {
         match self {
             Unit::App(a) => a.spec(settings.seed, 0).flows,
             Unit::Wkld(w) => w.spec(settings.seed).flows(),
-        }
-    }
-
-    /// Runs this unit under an interned `cfg` on a reusable cell: an
-    /// existing warm cell is reset in place, reusing its allocations; an
-    /// empty slot is populated with a fresh one. The report is
-    /// bit-identical to [`Unit::run`]'s (the golden matrix test runs
-    /// through this path on every worker count).
-    pub fn run_warm(
-        self,
-        cfg: &SystemConfig,
-        settings: RunSettings,
-        cell: &mut Option<SimCell>,
-    ) -> SystemReport {
-        self.prepare_warm(cfg, settings, cell).run()
-    }
-
-    /// Shapes a reusable cell for this unit without running it: an
-    /// existing warm cell is reset in place, an empty slot is populated
-    /// with a fresh one. The caller drives the run — all at once
-    /// ([`SimCell::run`]) or in resumable steps ([`SimCell::run_until`],
-    /// as the campaign checkpointer does).
-    pub fn prepare_warm<'a>(
-        self,
-        cfg: &SystemConfig,
-        settings: RunSettings,
-        cell: &'a mut Option<SimCell>,
-    ) -> &'a mut SimCell {
-        let flows = self.flows(settings);
-        match cell {
-            Some(cell) => {
-                cell.reset(cfg, &flows);
-                cell
-            }
-            None => cell.insert(SimCell::new(cfg.clone(), flows)),
         }
     }
 
@@ -158,7 +125,7 @@ impl Unit {
         scheme: Scheme,
         settings: RunSettings,
     ) -> (SystemReport, vip_core::AuditSummary) {
-        let mut cell = SimCell::new(settings.config(scheme), self.flows(settings));
+        let mut cell = vip_core::SimCell::new(settings.config(scheme), self.flows(settings));
         let out = cell.runner().audited().run();
         (out.report, out.audit.expect("audited run"))
     }
@@ -171,8 +138,11 @@ impl Unit {
 pub struct Matrix {
     /// Settings the matrix was built with.
     pub settings: RunSettings,
-    /// `results[u][s]` = report of `Unit::all()[u]` under `Scheme::ALL[s]`.
+    /// `results[u][s]` = report of the `u`-th unit run under
+    /// `Scheme::ALL[s]`.
     pub results: Vec<Vec<SystemReport>>,
+    /// The units run, parallel to `results`.
+    units: Vec<Unit>,
 }
 
 impl Matrix {
@@ -193,61 +163,42 @@ impl Matrix {
 
     /// Runs the matrix over a subset of units on exactly `workers` threads.
     ///
-    /// Results are collected over an mpsc channel and written back by cell
-    /// index — no per-cell locks — and the outcome is independent of the
-    /// worker count (each cell is a deterministic, isolated simulation).
+    /// Workers claim cells in order and run each on their one warm
+    /// simulation cell; the outcome is independent of the worker count
+    /// (each cell is a deterministic, isolated simulation).
     ///
     /// # Panics
     ///
     /// Panics if `workers` is zero.
     pub fn run_subset_workers(settings: RunSettings, units: &[Unit], workers: usize) -> Self {
-        assert!(workers > 0, "need at least one worker");
-        let cells: Vec<(usize, usize)> = (0..units.len())
-            .flat_map(|u| (0..Scheme::ALL.len()).map(move |s| (u, s)))
-            .collect();
-        let workers = workers.min(cells.len().max(1));
         let configs = settings.configs();
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let (tx, rx) = std::sync::mpsc::channel::<(usize, SystemReport)>();
-
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let tx = tx.clone();
-                let configs = &configs;
-                scope.spawn(|| {
-                    let tx = tx; // move the clone into this worker
-                                 // One warm simulation cell per worker, reset (not
-                                 // reconstructed) for each cell it claims.
-                    let mut cell: Option<SimCell> = None;
-                    loop {
-                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        let Some(&(u, s)) = cells.get(i) else { break };
-                        let report = units[u].run_warm(&configs[s], settings, &mut cell);
-                        tx.send((i, report)).expect("collector alive");
-                    }
-                });
-            }
-        });
-        drop(tx);
-
-        let mut slots: Vec<Option<SystemReport>> = (0..cells.len()).map(|_| None).collect();
-        for (i, report) in rx {
-            slots[i] = Some(report);
-        }
-        let mut iter = slots.into_iter();
-        let results = (0..units.len())
-            .map(|_| {
-                (0..Scheme::ALL.len())
-                    .map(|_| iter.next().expect("slot per cell").expect("cell computed"))
-                    .collect::<Vec<_>>()
-            })
+        let cells: Vec<(usize, usize)> = (0..units.len())
+            .flat_map(|u| (0..configs.len()).map(move |s| (u, s)))
             .collect();
-        Matrix { settings, results }
+        let mut slots = vec![vec![None; configs.len()]; units.len()];
+        pool::run_each(
+            &cells,
+            workers,
+            |&(u, s), warm| {
+                let flows = units[u].flows(settings);
+                (u, s, pool::shape(warm, &configs[s], &flows).run())
+            },
+            |_, (u, s, report)| slots[u][s] = Some(report),
+        );
+        let results = slots
+            .into_iter()
+            .map(|row| row.into_iter().map(|r| r.expect("cell computed")).collect())
+            .collect();
+        Matrix {
+            settings,
+            results,
+            units: units.to_vec(),
+        }
     }
 
-    /// The units of row `u` (parallel to `results`).
+    /// The paper's label of row `u`'s unit.
     pub fn unit_label(&self, u: usize) -> &'static str {
-        Unit::all()[u].label()
+        self.units[u].label()
     }
 
     /// The report of unit `u` under `scheme`.
@@ -298,6 +249,7 @@ mod tests {
     #[test]
     fn matrix_subset_and_normalization() {
         let m = Matrix::run_subset(RunSettings::with_ms(120), &[Unit::App(App::A3)]);
+        assert_eq!(m.unit_label(0), "A3");
         assert_eq!(m.results.len(), 1);
         assert_eq!(m.results[0].len(), 5);
         let norm = m.normalized(|r| r.energy.total_j());

@@ -21,13 +21,18 @@
 //!
 //! ## Concurrency
 //!
-//! Requests dispatch to a fixed pool of workers over bounded queues
-//! (backpressure: a full queue blocks the reader, bounding in-flight
-//! work). Routing is by key affinity — `worker = key % workers` — so
-//! repeated requests for one triple land on one worker in order, which
-//! makes hit/miss telemetry deterministic. Each worker owns one warm
-//! [`SimCell`] reused across requests; responses stream through a
-//! dedicated writer thread the moment they are produced.
+//! The reader runs on the caller's thread and routes each request to a
+//! worker of the crate's warm-cell pool over that worker's own bounded
+//! queue (backpressure: a full queue blocks the reader, bounding
+//! in-flight work). Routing is by key affinity — `worker = key %
+//! workers` — so repeated requests for one triple land on one worker in
+//! order, which makes hit/miss telemetry deterministic. Each worker owns
+//! one warm [`SimCell`] reused across requests; responses stream through
+//! a dedicated writer thread the moment they are produced.
+//!
+//! A line that is not UTF-8 gets an error response, like malformed JSON.
+//! A failed write ends the run with that error: the writer stops, each
+//! worker stops at its next response, and the reader at its next line.
 //!
 //! ## Request format
 //!
@@ -46,7 +51,7 @@
 //! `branch_depth`, the serving `worker`, and headline report fields.
 
 use std::hash::BuildHasher;
-use std::io::{BufRead, Write};
+use std::io::{self, BufRead, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 
@@ -54,6 +59,7 @@ use desim::SimDelta;
 use telemetry::json::{self, Json};
 use vip_core::{Scheme, SimCell, SimSnapshot, SystemConfig};
 
+use crate::pool;
 use crate::runner::{RunSettings, Unit};
 
 /// Server tuning knobs.
@@ -289,7 +295,6 @@ fn at_most(obj: &Json, key: &str, max: u64) -> Result<Option<u64>, String> {
 #[derive(Debug)]
 struct Response {
     id: u64,
-    worker: usize,
     body: Result<Ok_, String>,
 }
 
@@ -304,7 +309,8 @@ struct Ok_ {
 }
 
 impl Response {
-    fn to_ndjson(&self) -> String {
+    /// The response line, naming the `worker` that served it.
+    fn to_ndjson(&self, worker: usize) -> String {
         match &self.body {
             Ok(ok) => format!(
                 "{{\"id\": {}, \"ok\": true, \"digest\": \"{:016x}\", \"cache\": \"{}\", \
@@ -314,7 +320,7 @@ impl Response {
                 ok.digest,
                 if ok.hit { "hit" } else { "miss" },
                 ok.branch_depth,
-                self.worker,
+                worker,
                 ok.events,
                 ok.frames_completed,
                 ok.energy_nj,
@@ -361,101 +367,93 @@ impl Server {
 
     /// Serves `input` to `output` until EOF: one NDJSON response per
     /// request line, streamed in completion order. Returns the totals.
+    ///
+    /// # Errors
+    ///
+    /// The first error reading `input` or writing `output`. A failed
+    /// write stops the workers, but a blocking read cannot be
+    /// interrupted: the server notices at its next input line or at EOF.
     pub fn run<R: BufRead, W: Write + Send>(
         &self,
         input: R,
         output: &mut W,
-    ) -> std::io::Result<ServeStats> {
+    ) -> io::Result<ServeStats> {
         let cache = Mutex::new(SnapCache::new(self.opts.cache));
-        let (resp_tx, resp_rx) = mpsc::channel::<Response>();
-        let mut req_txs = Vec::with_capacity(self.opts.workers);
-        let mut req_rxs = Vec::with_capacity(self.opts.workers);
-        for _ in 0..self.opts.workers {
-            let (tx, rx) = mpsc::sync_channel::<Resolved>(self.opts.queue);
-            req_txs.push(tx);
-            req_rxs.push(rx);
-        }
-
-        let mut stats = ServeStats::default();
-        let mut io_err: Option<std::io::Error> = None;
+        let (req_txs, req_rxs): (Vec<_>, Vec<_>) = (0..self.opts.workers)
+            .map(|_| mpsc::sync_channel::<Resolved>(self.opts.queue))
+            .unzip();
+        let (resp_tx, resp_rx) = mpsc::channel();
+        let work = |req: Resolved, warm: &mut Option<SimCell>| Response {
+            id: req.id,
+            body: Ok(serve_one(&req, &cache, warm)),
+        };
         std::thread::scope(|scope| {
-            for (w, rx) in req_rxs.into_iter().enumerate() {
-                let resp_tx = resp_tx.clone();
-                let cache = &cache;
-                scope.spawn(move || {
-                    let mut warm: Option<SimCell> = None;
-                    for req in rx {
-                        let body = serve_one(&req, cache, &mut warm);
-                        resp_tx
-                            .send(Response {
-                                id: req.id,
-                                worker: w,
-                                body: Ok(body),
-                            })
-                            .expect("writer alive");
-                    }
-                });
-            }
-
-            // Writer: stream responses as they complete, tallying stats.
-            let writer = scope.spawn(move || {
-                let mut stats = ServeStats::default();
-                for resp in resp_rx {
-                    match &resp.body {
-                        Ok(ok) => {
-                            stats.ok += 1;
-                            if ok.hit {
-                                stats.hits += 1;
-                            } else {
-                                stats.misses += 1;
-                            }
-                        }
-                        Err(_) => stats.errors += 1,
-                    }
-                    if let Err(e) = output.write_all(resp.to_ndjson().as_bytes()) {
-                        return (stats, Some(e));
-                    }
-                    if let Err(e) = output.flush() {
-                        return (stats, Some(e));
-                    }
-                }
-                (stats, None)
-            });
-
-            // Reader/dispatcher: affinity-route each resolved request;
-            // a full worker queue blocks here (bounded in-flight work).
-            for line in input.lines() {
-                let Ok(line) = line else { break };
-                if line.trim().is_empty() {
-                    continue;
-                }
-                match resolve(&line) {
-                    Ok(req) => {
-                        let w = (req.key as usize) % self.opts.workers;
-                        req_txs[w].send(req).expect("worker alive");
-                    }
-                    Err((id, msg)) => {
-                        resp_tx
-                            .send(Response {
-                                id,
-                                worker: 0,
-                                body: Err(msg),
-                            })
-                            .expect("writer alive");
-                    }
-                }
-            }
+            pool::spawn(scope, req_rxs, &work, resp_tx.clone());
+            let writer = scope.spawn(move || write_responses(resp_rx, output));
+            let read = dispatch(input, &req_txs, &resp_tx);
             drop(req_txs);
             drop(resp_tx);
-            let (s, e) = writer.join().expect("writer thread");
-            stats = s;
-            io_err = e;
-        });
-        match io_err {
-            Some(e) => Err(e),
-            None => Ok(stats),
+            let (stats, written) = writer.join().expect("writer thread");
+            read.and(written).map(|()| stats)
+        })
+    }
+}
+
+/// The reader: resolves each request line and routes it by key affinity
+/// to its worker's queue (a full queue blocks here, bounding in-flight
+/// work), or sends the rejection straight to the writer. Returns at EOF,
+/// at a read error, or once a worker or the writer has stopped.
+fn dispatch(
+    input: impl BufRead,
+    workers: &[mpsc::SyncSender<Resolved>],
+    responses: &mpsc::Sender<(usize, Response)>,
+) -> io::Result<()> {
+    for line in input.split(b'\n') {
+        let req = match std::str::from_utf8(&line?) {
+            Ok(line) if line.trim().is_empty() => continue,
+            Ok(line) => resolve(line),
+            Err(_) => Err((0, "request line is not UTF-8".into())),
+        };
+        let sent = match req {
+            Ok(req) => workers[(req.key as usize) % workers.len()]
+                .send(req)
+                .is_ok(),
+            Err((id, msg)) => responses.send((0, Response { id, body: Err(msg) })).is_ok(),
+        };
+        if !sent {
+            break;
         }
     }
+    Ok(())
+}
+
+/// The writer: streams `(worker, response)` pairs to `output` as they
+/// complete, tallying stats, and stops at the first failed write.
+fn write_responses<W: Write>(
+    responses: mpsc::Receiver<(usize, Response)>,
+    output: &mut W,
+) -> (ServeStats, io::Result<()>) {
+    let mut stats = ServeStats::default();
+    for (w, resp) in responses {
+        match &resp.body {
+            Ok(ok) => {
+                stats.ok += 1;
+                if ok.hit {
+                    stats.hits += 1;
+                } else {
+                    stats.misses += 1;
+                }
+            }
+            Err(_) => stats.errors += 1,
+        }
+        let written = output
+            .write_all(resp.to_ndjson(w).as_bytes())
+            .and_then(|()| output.flush());
+        if written.is_err() {
+            return (stats, written);
+        }
+    }
+    (stats, Ok(()))
 }
 
 /// Answers one resolved request on this worker's warm cell.
@@ -464,17 +462,16 @@ fn serve_one(req: &Resolved, cache: &Mutex<SnapCache>, warm: &mut Option<SimCell
         .lock()
         .expect("snapshot cache lock")
         .get(req.key, &req.triple);
+    let cell = pool::shape(warm, &req.cfg, &req.flows);
     let (hit, branch_depth, report) = match cached {
         Some(cached) => {
             // Hit: branch the warmed snapshot and simulate only the tail.
             let depth = cached.branches.fetch_add(1, Ordering::Relaxed) + 1;
-            let cell = ensure_cell(warm, req);
             cell.restore(&cached.snap);
             (true, depth, cell.finish())
         }
         None => {
             // Miss: warm up, publish the snapshot, then run the tail.
-            let cell = ensure_cell(warm, req);
             cell.run_until(desim::SimTime::ZERO + req.warmup);
             let snap = cell.snapshot();
             cache
@@ -491,18 +488,6 @@ fn serve_one(req: &Resolved, cache: &Mutex<SnapCache>, warm: &mut Option<SimCell
         events: report.events,
         frames_completed: report.frames_completed,
         energy_nj: (report.energy.total_j() * 1e9).round() as u64,
-    }
-}
-
-/// Shapes this worker's warm cell for the request (reset in place when
-/// it exists, fresh otherwise).
-fn ensure_cell<'a>(warm: &'a mut Option<SimCell>, req: &Resolved) -> &'a mut SimCell {
-    match warm {
-        Some(cell) => {
-            cell.reset(&req.cfg, &req.flows);
-            cell
-        }
-        None => warm.insert(SimCell::new(req.cfg.clone(), req.flows.clone())),
     }
 }
 
@@ -711,6 +696,82 @@ mod tests {
         cache.insert(1, "a".into(), tiny_snapshot());
         assert!(cache.get(1, "b").is_none(), "a digest collision must miss");
         assert!(cache.get(1, "a").is_some());
+    }
+
+    /// Request lines for `ids` over `triples` seeds, so repeats interleave.
+    fn requests(ids: std::ops::RangeInclusive<u64>, triples: u64) -> String {
+        ids.map(|id| {
+            let seed = id % triples;
+            format!("{{\"id\": {id}, \"unit\": \"A1\", \"ms\": 6, \"warmup_ms\": 2, \"seed\": {seed}}}\n")
+        })
+        .collect()
+    }
+
+    #[test]
+    fn closed_output_ends_the_run_with_its_error() {
+        struct Closed;
+        impl Write for Closed {
+            fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+                Err(io::ErrorKind::BrokenPipe.into())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        // More requests than the queues hold, so the reader blocks on a
+        // worker that has stopped.
+        let opts = ServeOptions {
+            workers: 2,
+            cache: 2,
+            queue: 1,
+        };
+        let err = Server::new(opts).run(requests(1..=12, 4).as_bytes(), &mut Closed);
+        assert_eq!(err.unwrap_err().kind(), io::ErrorKind::BrokenPipe);
+    }
+
+    #[test]
+    fn non_utf8_line_is_answered_and_serving_goes_on() {
+        let mut input = requests(1..=1, 2).into_bytes();
+        input.extend_from_slice(b"\xff\n");
+        input.extend_from_slice(requests(3..=4, 2).as_bytes());
+        let mut out = Vec::new();
+        let stats = Server::new(ServeOptions::default())
+            .run(&input[..], &mut out)
+            .unwrap();
+        assert_eq!(String::from_utf8(out).unwrap().lines().count(), 4);
+        assert_eq!((stats.ok, stats.errors), (3, 1));
+    }
+
+    /// One-slot queues block the reader and a two-entry cache evicts, yet
+    /// every request is answered once, by its key's worker, with its cold
+    /// run's digest. Hit counts are not checked: three workers share the
+    /// LRU, so they depend on timing.
+    #[test]
+    fn backpressure_and_eviction_keep_every_answer_exact() {
+        let input = requests(1..=12, 4);
+        let mut out = Vec::new();
+        let opts = ServeOptions {
+            workers: 3,
+            cache: 2,
+            queue: 1,
+        };
+        Server::new(opts).run(input.as_bytes(), &mut out).unwrap();
+        let mut by_id = std::collections::BTreeMap::new();
+        for line in String::from_utf8(out).unwrap().lines() {
+            let doc = json::parse(line).unwrap();
+            let id = doc.get("id").and_then(Json::as_f64).unwrap() as u64;
+            assert!(by_id.insert(id, doc).is_none(), "id {id} answered twice");
+        }
+        assert_eq!(by_id.len(), 12);
+        for line in input.lines() {
+            let req = resolve(line).unwrap();
+            let resp = &by_id[&req.id];
+            let field = |k: &str| resp.get(k).cloned().unwrap_or(Json::Null);
+            assert_eq!(field("ok"), Json::Bool(true));
+            assert_eq!(field("worker").as_f64(), Some((req.key % 3) as f64));
+            let cold = vip_core::SystemSim::run(req.cfg, req.flows).digest();
+            assert_eq!(field("digest").as_str(), Some(&*format!("{cold:016x}")));
+        }
     }
 
     #[test]

@@ -69,8 +69,7 @@
 //! * **Capture and branch** with [`SimCell::snapshot`] /
 //!   [`SimCell::restore`]: a [`SimSnapshot`] is owned, cloneable and
 //!   `Send`, so a warmed-up state can be cached once and branched many
-//!   times (the `simulate --serve` what-if service and the campaign
-//!   checkpoint store are built on this).
+//!   times (the `simulate --serve` what-if service is built on this).
 //! * **Post-run accessors** ([`SimCell::harvest_flow_times`],
 //!   [`SimCell::flow_traces`]) return `Err(`[`RunIncomplete`]`)` until the
 //!   report is built, so a partial run can't silently skew statistics.

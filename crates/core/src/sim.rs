@@ -1006,8 +1006,8 @@ impl SystemSim {
 /// A `SimCell` pays it once: [`reset`](SimCell::reset) rewinds the model
 /// in place and the scheduler keeps its heap, and the next
 /// [`run`](SimCell::run) produces a report bit-identical to a freshly
-/// constructed cell's (unit- and property-tested on digests). The matrix
-/// runner keeps one warm cell per worker thread.
+/// constructed cell's (unit- and property-tested on digests). vip-bench's
+/// worker pool keeps one warm cell per worker thread.
 ///
 /// # Example
 ///

@@ -34,7 +34,7 @@ mod enabled {
     /// Shared via `Arc<Mutex<_>>` because the DRAM probe closure and the
     /// engine dispatch hook each need their own handle, and because
     /// `SystemSim` (and therefore a `SimSnapshot`) must stay `Send` so the
-    /// serve/campaign worker pools can move warm state between threads.
+    /// serve workers can share warmed snapshots between threads.
     /// The lock is uncontended — one sim runs on one thread — so the cost
     /// stays confined to traced runs.
     #[derive(Debug, Clone, Default)]
