@@ -23,7 +23,7 @@
 //!
 //! The file format is documented in `workloads::specfile`.
 
-use std::io::Read as _;
+use std::io::{Read as _, Write};
 
 use vip_core::{Device, Scheme, SystemSim};
 
@@ -187,19 +187,36 @@ fn main() {
             .unwrap_or_else(|e| args.bail(&format!("cannot write {path}: {e}")));
     }
 
-    println!(
-        "{} on {} for {} ms: {} flows, {} frames sourced, {} completed, \
+    let run = format!("{} on {} for {} ms", scheme.label(), device.name(), ms);
+    let timeline = args.has("--timeline").then_some(&traces[..]);
+    let mut out = std::io::stdout().lock();
+    let written = write_report(&mut out, &run, &report, timeline).and_then(|()| out.flush());
+    if let Err(e) = written {
+        eprintln!("simulate: I/O failed: {e}");
+        std::process::exit(1);
+    }
+}
+
+/// Writes the run summary headed by `run`, one line per flow, and the
+/// per-flow timelines if `--timeline` asked for them.
+fn write_report(
+    out: &mut impl Write,
+    run: &str,
+    report: &vip_core::SystemReport,
+    timeline: Option<&[vip_core::FlowTrace]>,
+) -> std::io::Result<()> {
+    writeln!(
+        out,
+        "{run}: {} flows, {} frames sourced, {} completed, \
          {} violated, {} dropped at source",
-        scheme.label(),
-        device.name(),
-        ms,
         report.flows.len(),
         report.frames_sourced,
         report.frames_completed,
         report.frames_violated,
         report.frames_dropped_at_source,
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "energy {:.3} mJ/frame ({}); {:.1} interrupts/100ms; DRAM {:.2} GB/s avg; \
          flow time avg {:.2} ms / p50 {:.2} / p95 {:.2} / p99 {:.2} ms",
         report.energy_per_frame_mj(),
@@ -210,24 +227,26 @@ fn main() {
         report.p50_flow_time.as_ms(),
         report.p95_flow_time.as_ms(),
         report.p99_flow_time.as_ms(),
-    );
+    )?;
     for f in &report.flows {
-        println!(
+        writeln!(
+            out,
             "  {:<20} {:>4} frames  {:>5.1}% violated  flow {:>7.2} ms (p95 {:>7.2})",
             f.name,
             f.frames_sourced,
             f.violation_rate() * 100.0,
             f.avg_flow_time.as_ms(),
             f.p95_flow_time.as_ms(),
-        );
+        )?;
     }
-    if args.has("--timeline") {
-        println!();
-        for t in &traces {
-            print!("{}", t.render(12));
+    if let Some(traces) = timeline {
+        writeln!(out)?;
+        for t in traces {
+            write!(out, "{}", t.render(12))?;
         }
         if traces.is_empty() {
             eprintln!("note: --timeline is unavailable in the same run as --trace or --audit");
         }
     }
+    Ok(())
 }

@@ -92,6 +92,28 @@ fn metrics_flag_writes_a_parseable_snapshot() {
 /// Unparsable, zero or overflowing horizons exit 2 with a usage error
 /// instead of silently running some other horizon; `campaign` also
 /// rejects zero workers, and fails before it creates its journal.
+/// A reader that closes `simulate`'s output unread gets exit code 1 and
+/// the write error, not a panic.
+#[test]
+fn closed_stdout_is_an_io_error_not_a_panic() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_simulate"))
+        .args(["--scheme", "vip", "--ms", "50"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn simulate");
+    drop(child.stdout.take());
+    let mut stdin = child.stdin.take().expect("stdin");
+    stdin.write_all(SPEC.as_bytes()).expect("write spec");
+    drop(stdin);
+    let out = child.wait_with_output().expect("simulate exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(stderr.contains("simulate: I/O failed: "), "{stderr}");
+}
+
 #[test]
 fn bad_ms_flag_is_a_usage_error() {
     for ms in ["abc", "0", "18446744073710"] {

@@ -62,24 +62,71 @@ pub struct Issued {
     pub activated: bool,
 }
 
+/// A committed burst waiting for its data transfer to end.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Pending {
+    /// When its last line finishes on the data bus.
+    pub done: SimTime,
+    /// Memory-system-wide issue number: the tie-break between channels'
+    /// completions at one instant.
+    pub seq: u64,
+    /// Index of the parent request in the memory system's table.
+    pub parent: usize,
+}
+
 /// How many bursts may be committed (command-pipelined) at once. Two lets
 /// the CAS latency of burst *n+1* hide under the data transfer of burst
 /// *n*, which is what lets real controllers stream at peak bandwidth.
 const PIPELINE_DEPTH: usize = 2;
 
-/// One LPDDR3 channel: banks, a data bus, and an FR-FCFS queue.
+/// A channel's committed bursts in issue order: a fixed FIFO of
+/// [`PIPELINE_DEPTH`] slots whose length is the pipeline occupancy. The
+/// data bus serializes transfers, so `done` is nondecreasing front to back
+/// and the front is always the channel's next completion.
+#[derive(Debug, Clone, Copy, Default)]
+struct InFlight {
+    slots: [Pending; PIPELINE_DEPTH],
+    len: usize,
+}
+
+impl InFlight {
+    fn push(&mut self, p: Pending) {
+        debug_assert!(self.len < PIPELINE_DEPTH, "pipeline overfull");
+        debug_assert!(
+            self.front().is_none_or(|f| f.done <= p.done),
+            "channel completions must be FIFO"
+        );
+        self.slots[self.len] = p;
+        self.len += 1;
+    }
+
+    fn front(&self) -> Option<&Pending> {
+        self.slots[..self.len].first()
+    }
+
+    fn pop(&mut self) -> Pending {
+        debug_assert!(self.len > 0, "pop from an idle pipeline");
+        let front = self.slots[0];
+        self.slots.copy_within(1.., 0);
+        self.len -= 1;
+        front
+    }
+}
+
+/// One LPDDR3 channel: banks, a data bus, an FR-FCFS queue and the bursts
+/// it has committed.
 ///
 /// The queue is a single arrival-ordered deque; observed depths stay in
 /// the tens (the doorbell credit scheme upstream bounds outstanding
-/// fetches), so the FR-FCFS scan is short and anything cleverer costs
-/// more in bookkeeping than it saves.
+/// fetches), so the FR-FCFS scan over its two slices is short and anything
+/// cleverer costs more in bookkeeping than it saves.
 #[derive(Debug, Clone)]
 pub struct Channel {
     cfg: DramConfig,
     banks: Vec<Bank>,
     bus_free_at: SimTime,
     queue: VecDeque<Burst>,
-    in_service: usize,
+    in_flight: InFlight,
     next_refresh: SimTime,
     last_service_end: SimTime,
     /// All-bank refreshes performed.
@@ -90,8 +137,6 @@ pub struct Channel {
     pub powerdown_ns: u64,
     /// Power-down exits (each pays tXP).
     pub powerdown_exits: u64,
-    /// Largest queue depth observed (for diagnostics).
-    pub max_queue_depth: usize,
 }
 
 impl Channel {
@@ -109,14 +154,13 @@ impl Channel {
             banks,
             bus_free_at: SimTime::ZERO,
             queue: VecDeque::new(),
-            in_service: 0,
+            in_flight: InFlight::default(),
             next_refresh,
             last_service_end: SimTime::ZERO,
             refreshes: 0,
             standby_ns: 0,
             powerdown_ns: 0,
             powerdown_exits: 0,
-            max_queue_depth: 0,
         }
     }
 
@@ -143,46 +187,60 @@ impl Channel {
     }
 
     /// Queues a burst (does not issue it; call [`Channel::try_issue`]).
-    pub fn enqueue(&mut self, _now: SimTime, burst: Burst) {
+    pub fn enqueue(&mut self, burst: Burst) {
         self.queue.push_back(burst);
-        self.max_queue_depth = self.max_queue_depth.max(self.queue.len());
     }
 
-    /// Number of bursts waiting (excluding the one in service).
+    /// Number of bursts waiting (excluding the committed ones).
     pub fn queued(&self) -> usize {
         self.queue.len()
     }
 
-    /// Whether any burst is currently committed to the bus.
-    pub fn busy(&self) -> bool {
-        self.in_service > 0
+    /// When the oldest committed burst finishes, if any is committed: the
+    /// channel's next completion.
+    pub fn next_done(&self) -> Option<SimTime> {
+        self.in_flight.front().map(|p| p.done)
     }
 
-    /// Marks one committed burst finished. Must be called exactly once per
-    /// [`Issued`] result, at or after its `done` time.
-    pub fn service_complete(&mut self) {
-        debug_assert!(self.in_service > 0, "service_complete while idle");
-        self.in_service -= 1;
+    /// Retires the oldest committed burst if it has finished by `now`,
+    /// freeing its pipeline slot.
+    pub fn pop_done(&mut self, now: SimTime) -> Option<Pending> {
+        match self.in_flight.front() {
+            Some(p) if p.done <= now => Some(self.in_flight.pop()),
+            _ => None,
+        }
+    }
+
+    /// FR-FCFS: the index of the oldest queued burst whose bank has its
+    /// row open and is ready, else 0 (the oldest). Scans the deque's two
+    /// slices directly.
+    fn pick(&self, now: SimTime) -> usize {
+        let ready = |b: &Burst| {
+            let bank = &self.banks[b.bank];
+            bank.open_row == Some(b.row) && bank.ready_at <= now
+        };
+        let (head, tail) = self.queue.as_slices();
+        match head.iter().position(ready) {
+            Some(i) => i,
+            None => tail.iter().position(ready).map_or(0, |i| head.len() + i),
+        }
     }
 
     /// FR-FCFS: picks and commits the next burst if the command pipeline
-    /// has room. Returns the service decision, including its completion
-    /// time.
-    pub fn try_issue(&mut self, now: SimTime) -> Option<Issued> {
-        if self.in_service >= PIPELINE_DEPTH || self.queue.is_empty() {
+    /// has room, recording it as in flight under issue number `seq`.
+    /// Returns the service decision, including its completion time.
+    pub fn try_issue(&mut self, now: SimTime, seq: u64) -> Option<Issued> {
+        if self.in_flight.len >= PIPELINE_DEPTH || self.queue.is_empty() {
             return None;
         }
         self.catch_up_refresh(now);
-        // First-ready: oldest burst whose bank has its row open and is ready.
-        let pick = self
-            .queue
-            .iter()
-            .position(|b| {
-                let bank = &self.banks[b.bank];
-                bank.open_row == Some(b.row) && bank.ready_at <= now
-            })
-            .unwrap_or(0); // else FCFS
-        let burst = self.queue.remove(pick).expect("pick in range");
+        let pick = self.pick(now);
+        let burst = if pick == 0 {
+            self.queue.pop_front()
+        } else {
+            self.queue.remove(pick)
+        }
+        .expect("pick in range");
 
         let bank = &mut self.banks[burst.bank];
         let (outcome, row_latency, activated) = match bank.open_row {
@@ -221,7 +279,11 @@ impl Channel {
         }
         self.bus_free_at = done;
         self.last_service_end = self.last_service_end.max(done);
-        self.in_service += 1;
+        self.in_flight.push(Pending {
+            done,
+            seq,
+            parent: burst.parent,
+        });
 
         Some(Issued {
             burst,
@@ -253,8 +315,8 @@ mod tests {
     #[test]
     fn empty_bank_pays_trcd_plus_tcl() {
         let mut c = chan();
-        c.enqueue(SimTime::ZERO, burst(0, 5, 1));
-        let iss = c.try_issue(SimTime::ZERO).unwrap();
+        c.enqueue(burst(0, 5, 1));
+        let iss = c.try_issue(SimTime::ZERO, 0).unwrap();
         // tRCD(12) + tCL(12) + 1 line (15) = 39ns
         assert_eq!(iss.done, SimTime::from_ns(39));
         assert_eq!(iss.outcome, RowOutcome::Empty);
@@ -264,11 +326,11 @@ mod tests {
     #[test]
     fn row_hit_skips_activation() {
         let mut c = chan();
-        c.enqueue(SimTime::ZERO, burst(0, 5, 1));
-        let first = c.try_issue(SimTime::ZERO).unwrap();
-        c.service_complete();
-        c.enqueue(first.done, burst(0, 5, 1));
-        let second = c.try_issue(first.done).unwrap();
+        c.enqueue(burst(0, 5, 1));
+        let first = c.try_issue(SimTime::ZERO, 0).unwrap();
+        c.pop_done(first.done).unwrap();
+        c.enqueue(burst(0, 5, 1));
+        let second = c.try_issue(first.done, 0).unwrap();
         assert_eq!(second.outcome, RowOutcome::Hit);
         assert!(!second.activated);
         // tCL + 1 line after the bank frees.
@@ -278,11 +340,11 @@ mod tests {
     #[test]
     fn row_conflict_pays_precharge() {
         let mut c = chan();
-        c.enqueue(SimTime::ZERO, burst(0, 5, 1));
-        let first = c.try_issue(SimTime::ZERO).unwrap();
-        c.service_complete();
-        c.enqueue(first.done, burst(0, 9, 1));
-        let second = c.try_issue(first.done).unwrap();
+        c.enqueue(burst(0, 5, 1));
+        let first = c.try_issue(SimTime::ZERO, 0).unwrap();
+        c.pop_done(first.done).unwrap();
+        c.enqueue(burst(0, 9, 1));
+        let second = c.try_issue(first.done, 0).unwrap();
         assert_eq!(second.outcome, RowOutcome::Conflict);
         // tRP + tRCD + tCL + 1 line = 12+12+12+15 = 51ns later.
         assert_eq!(second.done, first.done + desim::SimDelta::from_ns(51));
@@ -292,38 +354,65 @@ mod tests {
     fn fr_fcfs_prefers_open_row() {
         let mut c = chan();
         // Open row 1 on bank 0.
-        c.enqueue(SimTime::ZERO, burst(0, 1, 1));
-        let first = c.try_issue(SimTime::ZERO).unwrap();
-        c.service_complete();
+        c.enqueue(burst(0, 1, 1));
+        let first = c.try_issue(SimTime::ZERO, 0).unwrap();
+        c.pop_done(first.done).unwrap();
         // Queue a conflict (row 2) then a hit (row 1): the hit must win even
         // though it is younger.
-        c.enqueue(first.done, burst(0, 2, 1));
-        c.enqueue(first.done, burst(0, 1, 1));
-        let second = c.try_issue(first.done).unwrap();
+        c.enqueue(burst(0, 2, 1));
+        c.enqueue(burst(0, 1, 1));
+        let second = c.try_issue(first.done, 0).unwrap();
         assert_eq!(second.burst.row, 1);
         assert_eq!(second.outcome, RowOutcome::Hit);
     }
 
     #[test]
+    fn fr_fcfs_scans_both_slices_of_a_wrapped_queue() {
+        let mut c = chan();
+        c.enqueue(burst(0, 1, 1));
+        let first = c.try_issue(SimTime::ZERO, 0).unwrap();
+        c.pop_done(first.done).unwrap();
+        // Wrap the deque so the row hit (row 1) sits in its second slice.
+        c.queue = VecDeque::with_capacity(4);
+        for row in [7, 8, 9] {
+            c.enqueue(burst(0, row, 1));
+        }
+        c.queue.pop_front();
+        c.queue.pop_front();
+        for row in [2, 1, 3] {
+            c.enqueue(burst(0, row, 1));
+        }
+        assert!(!c.queue.as_slices().1.is_empty(), "queue must wrap");
+        let hit = c.try_issue(first.done, 1).unwrap();
+        assert_eq!(hit.outcome, RowOutcome::Hit);
+        let rows: Vec<u64> = c.queue.iter().map(|b| b.row).collect();
+        assert_eq!(rows, [9, 2, 3]);
+    }
+
+    #[test]
     fn pipeline_depth_is_bounded() {
         let mut c = chan();
-        c.enqueue(SimTime::ZERO, burst(0, 1, 4));
-        c.enqueue(SimTime::ZERO, burst(1, 1, 4));
-        c.enqueue(SimTime::ZERO, burst(2, 1, 4));
-        assert!(c.try_issue(SimTime::ZERO).is_some());
-        assert!(c.try_issue(SimTime::ZERO).is_some(), "depth-2 pipeline");
-        assert!(c.try_issue(SimTime::ZERO).is_none(), "pipeline full");
-        c.service_complete();
-        assert!(c.try_issue(SimTime::from_ns(100)).is_some());
+        c.enqueue(burst(0, 1, 4));
+        c.enqueue(burst(1, 1, 4));
+        c.enqueue(burst(2, 1, 4));
+        assert!(c.try_issue(SimTime::ZERO, 0).is_some());
+        assert!(c.try_issue(SimTime::ZERO, 0).is_some(), "depth-2 pipeline");
+        assert!(c.try_issue(SimTime::ZERO, 0).is_none(), "pipeline full");
+        assert!(
+            c.pop_done(SimTime::from_ns(83)).is_none(),
+            "still on the bus"
+        );
+        c.pop_done(SimTime::from_ns(100)).unwrap();
+        assert!(c.try_issue(SimTime::from_ns(100), 0).is_some());
     }
 
     #[test]
     fn pipelined_bursts_serialize_on_the_bus() {
         let mut c = chan();
-        c.enqueue(SimTime::ZERO, burst(0, 1, 4));
-        c.enqueue(SimTime::ZERO, burst(1, 1, 4));
-        let a = c.try_issue(SimTime::ZERO).unwrap();
-        let b = c.try_issue(SimTime::ZERO).unwrap();
+        c.enqueue(burst(0, 1, 4));
+        c.enqueue(burst(1, 1, 4));
+        let a = c.try_issue(SimTime::ZERO, 0).unwrap();
+        let b = c.try_issue(SimTime::ZERO, 0).unwrap();
         // Second transfer starts no earlier than the first ends.
         assert!(b.done >= a.done + desim::SimDelta::from_ns(60));
     }
@@ -334,8 +423,8 @@ mod tests {
         // Jump past several tREFI windows, then issue: the burst must wait
         // out the pending refresh.
         let late = SimTime::from_ns(3950); // just past the first tREFI
-        c.enqueue(late, burst(0, 5, 1));
-        let iss = c.try_issue(late).unwrap();
+        c.enqueue(burst(0, 5, 1));
+        let iss = c.try_issue(late, 0).unwrap();
         assert_eq!(c.refreshes, 1);
         // Bank resumes at 3900 + 130 = 4030; the long idle also powered
         // the channel down (+tXP 10); +tRCD+tCL+line = 4079.
@@ -347,8 +436,8 @@ mod tests {
         let mut cfg = DramConfig::lpddr3_table3();
         cfg.t_refi = desim::SimDelta::ZERO;
         let mut c = Channel::new(cfg);
-        c.enqueue(SimTime::from_ms(1), burst(0, 5, 1));
-        let _ = c.try_issue(SimTime::from_ms(1)).unwrap();
+        c.enqueue(burst(0, 5, 1));
+        let _ = c.try_issue(SimTime::from_ms(1), 0).unwrap();
         assert_eq!(c.refreshes, 0);
     }
 
@@ -356,14 +445,14 @@ mod tests {
     fn long_idle_powers_down_and_pays_txp() {
         let mut c = chan();
         // First access at t=0 (gap 0 from the epoch).
-        c.enqueue(SimTime::ZERO, burst(0, 1, 1));
-        let a = c.try_issue(SimTime::ZERO).unwrap();
-        c.service_complete();
+        c.enqueue(burst(0, 1, 1));
+        let a = c.try_issue(SimTime::ZERO, 0).unwrap();
+        c.pop_done(a.done).unwrap();
         assert_eq!(c.powerdown_exits, 0);
         // Next access 50us later: channel powered down in between.
         let late = a.done + desim::SimDelta::from_us(50);
-        c.enqueue(late, burst(0, 1, 1));
-        let b = c.try_issue(late).unwrap();
+        c.enqueue(burst(0, 1, 1));
+        let b = c.try_issue(late, 0).unwrap();
         assert_eq!(c.powerdown_exits, 1);
         assert!(c.powerdown_ns > 40_000, "{}", c.powerdown_ns);
         assert!(c.standby_ns >= 1_000, "threshold portion is standby");
@@ -374,11 +463,11 @@ mod tests {
     #[test]
     fn back_to_back_stays_in_standby() {
         let mut c = chan();
-        c.enqueue(SimTime::ZERO, burst(0, 1, 4));
-        let a = c.try_issue(SimTime::ZERO).unwrap();
-        c.service_complete();
-        c.enqueue(a.done, burst(0, 1, 4));
-        let _ = c.try_issue(a.done).unwrap();
+        c.enqueue(burst(0, 1, 4));
+        let a = c.try_issue(SimTime::ZERO, 0).unwrap();
+        c.pop_done(a.done).unwrap();
+        c.enqueue(burst(0, 1, 4));
+        let _ = c.try_issue(a.done, 0).unwrap();
         assert_eq!(c.powerdown_exits, 0);
         assert_eq!(c.powerdown_ns, 0);
     }
@@ -391,12 +480,12 @@ mod tests {
         let mut now = SimTime::ZERO;
         let mut last = SimTime::ZERO;
         for i in 0..32u64 {
-            c.enqueue(now, burst(0, 0, 1)); // all in one row: open-page heaven
-            if let Some(iss) = c.try_issue(now) {
+            c.enqueue(burst(0, 0, 1)); // all in one row: open-page heaven
+            if let Some(iss) = c.try_issue(now, 0) {
                 assert_ne!(iss.outcome, RowOutcome::Hit, "closed page cannot hit");
                 now = iss.done;
                 last = iss.done;
-                c.service_complete();
+                c.pop_done(iss.done).unwrap();
             }
             let _ = i;
         }
@@ -405,11 +494,11 @@ mod tests {
         let mut now2 = SimTime::ZERO;
         let mut last2 = SimTime::ZERO;
         for _ in 0..32u64 {
-            c2.enqueue(now2, burst(0, 0, 1));
-            if let Some(iss) = c2.try_issue(now2) {
+            c2.enqueue(burst(0, 0, 1));
+            if let Some(iss) = c2.try_issue(now2, 0) {
                 now2 = iss.done;
                 last2 = iss.done;
-                c2.service_complete();
+                c2.pop_done(iss.done).unwrap();
             }
         }
         assert!(last2 < last, "open page must win a same-row stream");
@@ -423,12 +512,12 @@ mod tests {
         // 64 bursts of 16 lines (1 KB each) hitting one row... rows hold 32
         // lines, so alternate rows on different banks to keep hits common.
         for i in 0..64u64 {
-            c.enqueue(now, burst((i % 8) as usize, i / 8, 16));
+            c.enqueue(burst((i % 8) as usize, i / 8, 16));
         }
-        while let Some(iss) = c.try_issue(now) {
+        while let Some(iss) = c.try_issue(now, 0) {
             now = iss.done;
             last_done = iss.done;
-            c.service_complete();
+            c.pop_done(iss.done).unwrap();
         }
         let bytes = 64.0 * 16.0 * 64.0;
         let gbps = bytes / last_done.as_secs() / 1e9;

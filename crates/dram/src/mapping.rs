@@ -80,13 +80,29 @@ impl AddressMapper {
     }
 
     /// Like [`split`](AddressMapper::split), but appends into a caller-owned
-    /// buffer, and computes the bursts arithmetically instead of walking
+    /// buffer.
+    pub fn split_into(&self, addr: u64, bytes: u64, line_bytes: u64, out: &mut Vec<(Place, u64)>) {
+        self.visit_bursts(addr, bytes, line_bytes, |place, lines| {
+            out.push((place, lines))
+        });
+    }
+
+    /// Calls `visit(place, lines)` for each burst of
+    /// [`split`](AddressMapper::split), in the same order, without a
+    /// buffer. The bursts are computed arithmetically instead of by walking
     /// lines: in line-index space the low bits of an index select
     /// `(channel, bank)` and the bits above the column select the row, so
     /// within one row-stripe every group is a residue class mod
     /// `channels × banks` and its size is a division, not a walk. Groups are
-    /// emitted in first-touch order — identical to the line walk's output.
-    pub fn split_into(&self, addr: u64, bytes: u64, line_bytes: u64, out: &mut Vec<(Place, u64)>) {
+    /// visited in first-touch order — identical to the line walk's output.
+    #[inline]
+    pub fn visit_bursts(
+        &self,
+        addr: u64,
+        bytes: u64,
+        line_bytes: u64,
+        mut visit: impl FnMut(Place, u64),
+    ) {
         let first = addr / line_bytes;
         let last = (addr + bytes - 1) / line_bytes;
         // Geometry in line-index space (line_bytes is a power of two and
@@ -103,7 +119,7 @@ impl AddressMapper {
             for l in a..a + span {
                 // `l` is the first line of its residue class within [a, b];
                 // the rest follow every `groups` lines.
-                out.push((self.place(l * line_bytes), (b - l) / groups + 1));
+                visit(self.place(l * line_bytes), (b - l) / groups + 1);
             }
             a = b + 1;
         }

@@ -1,11 +1,9 @@
 //! The full memory system: address mapping + per-channel controllers +
 //! request reassembly + statistics.
 
-use std::collections::VecDeque;
-
 use desim::SimTime;
 
-use crate::channel::{Burst, Channel, RowOutcome};
+use crate::channel::{Burst, Channel, Pending, RowOutcome};
 use crate::config::DramConfig;
 use crate::mapping::AddressMapper;
 #[cfg(feature = "trace")]
@@ -41,18 +39,16 @@ pub struct MemorySystem {
     channels: Vec<Channel>,
     parents: Vec<Parent>,
     free_parents: Vec<usize>,
-    /// Per-channel in-flight bursts, `(done, seq, parent)`. A channel's
-    /// data bus serializes its bursts, so each FIFO's `done` times are
-    /// nondecreasing and the global completion order — identical to the
-    /// old central heap's — is the `(done, seq)` merge of the FIFO fronts.
-    in_flight: Vec<VecDeque<(SimTime, u64, usize)>>,
-    /// Cached earliest in-flight completion `(done, seq, channel)`,
-    /// maintained incrementally on issue and recomputed (O(#channels))
-    /// only when the front burst retires.
-    earliest: Option<(SimTime, u64, usize)>,
+    /// Earliest in-flight completion across channels: lowered as bursts
+    /// issue, recomputed once per collection that retires any.
+    earliest: Option<SimTime>,
+    /// Issue counter; a burst's number breaks ties between channels'
+    /// completions at one instant.
     seq: u64,
-    /// Reused split buffer: one allocation for every submit's burst list.
-    scratch_parts: Vec<(crate::mapping::Place, u64)>,
+    /// One collection's retired bursts with their channels, reused. Each
+    /// channel's in-flight FIFO completes in order, so sorting the at most
+    /// two per channel by `(done, seq)` gives the global completion order.
+    due: Vec<(Pending, usize)>,
     ready: Vec<Completion>,
     stats: MemStats,
     #[cfg(feature = "trace")]
@@ -71,10 +67,9 @@ impl Clone for MemorySystem {
             channels: self.channels.clone(),
             parents: self.parents.clone(),
             free_parents: self.free_parents.clone(),
-            in_flight: self.in_flight.clone(),
             earliest: self.earliest,
             seq: self.seq,
-            scratch_parts: self.scratch_parts.clone(),
+            due: Vec::with_capacity(self.due.capacity()),
             ready: self.ready.clone(),
             stats: self.stats.clone(),
             #[cfg(feature = "trace")]
@@ -88,10 +83,8 @@ impl Clone for MemorySystem {
         self.channels.clone_from(&src.channels);
         self.parents.clone_from(&src.parents);
         self.free_parents.clone_from(&src.free_parents);
-        self.in_flight.clone_from(&src.in_flight);
         self.earliest = src.earliest;
         self.seq = src.seq;
-        self.scratch_parts.clone_from(&src.scratch_parts);
         self.ready.clone_from(&src.ready);
         self.stats.clone_from(&src.stats);
     }
@@ -109,17 +102,15 @@ impl MemorySystem {
         let channels: Vec<Channel> = (0..cfg.channels)
             .map(|_| Channel::new(cfg.clone()))
             .collect();
-        let in_flight = (0..channels.len()).map(|_| VecDeque::new()).collect();
         MemorySystem {
+            due: Vec::with_capacity(2 * cfg.channels),
             cfg,
             mapper,
             channels,
             parents: Vec::new(),
             free_parents: Vec::new(),
-            in_flight,
             earliest: None,
             seq: 0,
-            scratch_parts: Vec::new(),
             ready: Vec::new(),
             stats: MemStats::new(),
             #[cfg(feature = "trace")]
@@ -202,17 +193,13 @@ impl MemorySystem {
             return;
         }
 
-        let mut parts = std::mem::take(&mut self.scratch_parts);
-        parts.clear();
-        self.mapper
-            .split_into(req.addr, req.bytes, self.cfg.line_bytes, &mut parts);
-        let parent_idx = match self.free_parents.pop() {
+        let parent = match self.free_parents.pop() {
             Some(i) => {
                 self.parents[i] = Parent {
                     tag: req.tag,
                     op: req.op,
                     submitted: now,
-                    remaining: parts.len(),
+                    remaining: 0,
                 };
                 i
             }
@@ -221,27 +208,28 @@ impl MemorySystem {
                     tag: req.tag,
                     op: req.op,
                     submitted: now,
-                    remaining: parts.len(),
+                    remaining: 0,
                 });
                 self.parents.len() - 1
             }
         };
-
+        // Bursts go straight from the split into their channels' queues.
         let mut touched = 0u64;
-        for &(place, lines) in &parts {
-            touched |= 1 << place.channel;
-            self.channels[place.channel].enqueue(
-                now,
-                Burst {
+        let mut bursts = 0;
+        let channels = &mut self.channels;
+        self.mapper
+            .visit_bursts(req.addr, req.bytes, self.cfg.line_bytes, |place, lines| {
+                touched |= 1 << place.channel;
+                bursts += 1;
+                channels[place.channel].enqueue(Burst {
                     bank: place.bank,
                     row: place.row,
                     lines,
                     op: req.op,
-                    parent: parent_idx,
-                },
-            );
-        }
-        self.scratch_parts = parts;
+                    parent,
+                });
+            });
+        self.parents[parent].remaining = bursts;
         self.pump(now, touched);
     }
 
@@ -249,7 +237,7 @@ impl MemorySystem {
     /// and collection with the bitmask of channels touched since the last
     /// pump. Targeting is exact, not heuristic: `try_issue` refuses only on
     /// a full pipeline or an empty queue, and both change solely through
-    /// that channel's own `enqueue`/`service_complete` — after a pump every
+    /// that channel's own `enqueue`/`pop_done` — after a pump every
     /// channel is issue-exhausted, so an untouched channel still has
     /// nothing to issue. Bits are drained in ascending channel order so
     /// `seq` assignment (the completion-merge tie-break) is identical to a
@@ -259,7 +247,8 @@ impl MemorySystem {
             let ci = touched.trailing_zeros() as usize;
             touched &= touched - 1;
             let ch = &mut self.channels[ci];
-            while let Some(issued) = ch.try_issue(now) {
+            while let Some(issued) = ch.try_issue(now, self.seq) {
+                self.seq += 1;
                 match issued.outcome {
                     RowOutcome::Hit => self.stats.row_hits.incr(),
                     RowOutcome::Empty => self.stats.row_empties.incr(),
@@ -285,19 +274,9 @@ impl MemorySystem {
                         depth: ch.queued(),
                     });
                 }
-                let fifo = &mut self.in_flight[ci];
-                debug_assert!(
-                    fifo.back().is_none_or(|&(d, ..)| d <= issued.done),
-                    "channel completions must be FIFO"
-                );
-                fifo.push_back((issued.done, self.seq, issued.burst.parent));
-                if self
-                    .earliest
-                    .is_none_or(|(d, s, _)| (issued.done, self.seq) < (d, s))
-                {
-                    self.earliest = Some((issued.done, self.seq, ci));
+                if self.earliest.is_none_or(|t| issued.done < t) {
+                    self.earliest = Some(issued.done);
                 }
-                self.seq += 1;
             }
         }
     }
@@ -305,24 +284,11 @@ impl MemorySystem {
     /// The earliest instant at which a completion will be available, if any
     /// work is pending. O(1): reads the incrementally maintained cache.
     pub fn next_completion_time(&self) -> Option<SimTime> {
-        let inflight = self.earliest.map(|(t, ..)| t);
+        let inflight = self.earliest;
         let ready = self.ready.first().map(|c| c.at);
         match (inflight, ready) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
-        }
-    }
-
-    /// Recomputes the earliest-completion cache from the FIFO fronts —
-    /// O(#channels), needed only after the cached front burst retires.
-    fn refresh_earliest(&mut self) {
-        self.earliest = None;
-        for (ci, fifo) in self.in_flight.iter().enumerate() {
-            if let Some(&(d, s, _)) = fifo.front() {
-                if self.earliest.is_none_or(|(ed, es, _)| (d, s) < (ed, es)) {
-                    self.earliest = Some((d, s, ci));
-                }
-            }
         }
     }
 
@@ -341,35 +307,54 @@ impl MemorySystem {
     /// one allocation across ticks.
     pub fn collect_completions_into(&mut self, now: SimTime, out: &mut Vec<Completion>) {
         out.append(&mut self.ready);
-        let mut freed = 0u64;
-        while let Some((t, _, ci)) = self.earliest {
-            if t > now {
-                break;
-            }
-            let (_, _, parent) = self.in_flight[ci].pop_front().expect("cached front exists");
-            self.refresh_earliest();
-            self.channels[ci].service_complete();
+        if self.earliest.is_none_or(|t| t > now) {
+            return;
+        }
+        let freed = self.gather_due(now);
+        self.due.sort_unstable_by_key(|&(p, _)| (p.done, p.seq));
+        for &(burst, _ci) in &self.due {
             #[cfg(feature = "trace")]
             if let Some(p) = self.probe.0.as_mut() {
-                p(DramProbe::Complete { channel: ci, at: t });
+                p(DramProbe::Complete {
+                    channel: _ci,
+                    at: burst.done,
+                });
             }
-            freed |= 1 << ci;
-            let p = &mut self.parents[parent];
+            let p = &mut self.parents[burst.parent];
             p.remaining -= 1;
             if p.remaining == 0 {
                 self.stats.requests.incr();
                 out.push(Completion {
                     tag: p.tag,
                     op: p.op,
-                    at: t,
+                    at: burst.done,
                     submitted: p.submitted,
                 });
-                self.free_parents.push(parent);
+                self.free_parents.push(burst.parent);
             }
         }
-        if freed != 0 {
-            self.pump(now, freed);
+        self.due.clear();
+        self.pump(now, freed);
+    }
+
+    /// Moves every burst finished by `now` from every channel's in-flight
+    /// FIFO into `due`, and recomputes `earliest` from the bursts still in
+    /// flight. Returns the bitmask of channels that freed a slot.
+    fn gather_due(&mut self, now: SimTime) -> u64 {
+        let mut freed = 0u64;
+        self.earliest = None;
+        for (ci, ch) in self.channels.iter_mut().enumerate() {
+            while let Some(burst) = ch.pop_done(now) {
+                self.due.push((burst, ci));
+                freed |= 1 << ci;
+            }
+            if let Some(t) = ch.next_done() {
+                if self.earliest.is_none_or(|e| t < e) {
+                    self.earliest = Some(t);
+                }
+            }
         }
+        freed
     }
 
     /// Runs the memory system until every submitted request has completed,

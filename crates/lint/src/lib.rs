@@ -339,11 +339,11 @@ mod tests {
 
     #[test]
     fn stale_hot_fn_name_fails_strict() {
-        // `mapping.rs`'s hot set is `place` and `split_into`; this source
+        // `mapping.rs`'s hot set is `place` and `visit_bursts`; this source
         // defines only the first.
         let src = SourceFile::parse("crates/dram/src/mapping.rs", "fn place() {}\n");
         let stale = rules::stale_hot_fns(&src);
-        assert_eq!(stale, vec!["split_into"]);
+        assert_eq!(stale, vec!["visit_bursts"]);
         let report = LintReport {
             stale_hot_fns: vec![(src.path.clone(), stale[0])],
             ..LintReport::default()
@@ -353,7 +353,7 @@ mod tests {
             !report.is_clean(true),
             "stale hot-set name must fail strict mode"
         );
-        assert!(report.render(true).contains("`split_into`"));
+        assert!(report.render(true).contains("`visit_bursts`"));
     }
 
     #[test]

@@ -129,23 +129,23 @@ pub(crate) const H001_HOT_FNS: [(&str, &[&str]); 5] = [
     ),
     (
         "crates/dram/src/system.rs",
-        &[
-            "submit",
-            "pump",
-            "collect_completions_into",
-            "refresh_earliest",
-        ],
+        &["submit", "pump", "collect_completions_into", "gather_due"],
     ),
     (
         "crates/dram/src/channel.rs",
         &[
+            "push",
+            "front",
+            "pop",
             "catch_up_refresh",
             "enqueue",
-            "service_complete",
+            "next_done",
+            "pop_done",
+            "pick",
             "try_issue",
         ],
     ),
-    ("crates/dram/src/mapping.rs", &["place", "split_into"]),
+    ("crates/dram/src/mapping.rs", &["place", "visit_bursts"]),
 ];
 
 /// The H001 hot set of the file at `path`, if it is one of the hot files.
